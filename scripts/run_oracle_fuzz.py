@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Differential fuzzing of the two checkers: draw random families (equal
-and mixed degree), run the exponential subset scan and the divisor-grid
-checker on each, and require identical statuses plus witnesses that
-re-validate exactly through subset_quotient."""
+and mixed degree), run the exponential subset scan and the candidate-gcd
+checker on each, the latter on its default path and forced onto the
+gcd-closure scan, and require identical verdicts, witness included, whose
+witness re-validates exactly through verify_verdict."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from syzstab.criterion import (
     Stability,
     check_brute_force,
     check_efficient,
-    subset_quotient,
+    verify_verdict,
 )
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 
@@ -53,24 +54,6 @@ def random_family(rng: random.Random, config: FuzzConfig) -> MonomialFamily:
             return family
 
 
-def revalidate(family: MonomialFamily, verdict) -> None:
-    """Witness invariants: quotients recompute exactly and sit on the
-    claimed side of the slope."""
-    if verdict.status is Stability.UNSTABLE:
-        assert verdict.violation is not None
-        again = subset_quotient(family, verdict.violation.indices)
-        assert again.quotient == verdict.violation.quotient
-        assert again.gcd == verdict.violation.gcd
-        assert again.quotient > verdict.family_slope
-    else:
-        assert verdict.violation is None
-    if verdict.status is Stability.SEMISTABLE_ONLY:
-        assert verdict.equality_witness is not None
-        again = subset_quotient(family, verdict.equality_witness.indices)
-        assert again.quotient == verdict.equality_witness.quotient
-        assert again.quotient == verdict.family_slope
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=10_000)
@@ -93,24 +76,24 @@ def main() -> int:
     counts = {status: 0 for status in Stability}
     for index in range(config.samples):
         family = random_family(rng, config)
-        fast = check_efficient(family)
         slow = check_brute_force(family)
-        if fast.status is not slow.status:
+        fast = check_efficient(family)
+        closure = check_efficient(family, grid_limit=0)
+        if not slow == fast == closure:
             print(
-                f"MISMATCH at sample {index}: fast={fast.status.value} "
-                f"slow={slow.status.value}\n{family.to_text()}",
+                f"MISMATCH at sample {index}:\n  brute:   {slow}\n"
+                f"  default: {fast}\n  closure: {closure}\n{family.to_text()}",
                 file=sys.stderr,
             )
             return 1
-        revalidate(family, fast)
-        revalidate(family, slow)
+        verify_verdict(family, slow)
         counts[fast.status] += 1
         if (index + 1) % 1000 == 0:
             print(f"{index + 1}/{config.samples} checked")
 
     for status, count in counts.items():
         print(f"{status.value}: {count}")
-    print("all statuses agree; all witnesses re-validate")
+    print("all verdicts agree; all witnesses re-validate")
     return 0
 
 

@@ -303,7 +303,7 @@ def build_parser() -> _Parser:
     mode.add_argument(
         "--mixed",
         action="store_true",
-        help="force the mixed-degree checker even for equal degrees",
+        help="force the gcd-closure scan",
     )
     p_check.add_argument("--json", action="store_true", help="machine output")
     p_check.set_defaults(func=cmd_check)

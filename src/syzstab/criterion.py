@@ -13,8 +13,11 @@ This module offers two independent deciders.  ``check_brute_force`` walks
 every subset and is the transparent oracle.  ``check_efficient`` scans only
 candidate gcds (a divisor grid, or the gcd closure of the family) and is
 exact as well: every subset's gcd shows up as a candidate, and every
-candidate's extreme value is realized by an actual subset, which becomes the
-reported witness.
+candidate's extreme value is realized by an actual subset.
+
+Both report the same witness for a verdict that is not stable: the subset
+with the largest quotient, ties going to the lexicographically smallest
+index tuple.  ``verify_verdict`` re-checks any verdict from scratch.
 """
 
 from __future__ import annotations
@@ -23,12 +26,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import chain, islice
 from math import comb
 
 import numpy as np
 
-from .errors import CapacityError, CommonFactorError, InvalidFamilyError
+from .errors import (
+    CapacityError,
+    CommonFactorError,
+    InvalidFamilyError,
+    InvalidVerdictError,
+)
 from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BRUTE_BUDGET = 2**24
@@ -177,6 +185,84 @@ def _validate_for_check(family: MonomialFamily) -> None:
         )
 
 
+def _verdict(
+    family: MonomialFamily,
+    slope: Fraction,
+    quotient: Fraction | None = None,
+    indices: tuple[int, ...] = (),
+    gcd: Monomial | None = None,
+) -> StabilityVerdict:
+    """Package a checker's maximizing subset into a verdict: stable when
+    there is none or its quotient is below the slope, semistable-only on
+    the slope, unstable above it."""
+    flag = not family.is_m_primary()
+    if quotient is None or quotient < slope:
+        return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
+    witness = SubsetWitness(
+        indices=indices,
+        gcd=gcd,
+        size=len(indices),
+        quotient=quotient,
+        family_slope=slope,
+    )
+    if quotient == slope:
+        return StabilityVerdict(
+            Stability.SEMISTABLE_ONLY,
+            slope,
+            equality_witness=witness,
+            criterion_value_only=flag,
+        )
+    return StabilityVerdict(
+        Stability.UNSTABLE, slope, violation=witness, criterion_value_only=flag
+    )
+
+
+def verify_verdict(family: MonomialFamily, verdict: StabilityVerdict) -> None:
+    """Check a verdict against the family, independently of how it was found.
+
+    The verdict must carry exactly the witness its status needs, and that
+    witness must recompute through ``subset_quotient`` (indices, gcd, size
+    and quotient) on the claimed side of the family slope.  Raises
+    ``InvalidVerdictError`` naming the first broken invariant.
+    """
+    slope = family_slope(family)
+    if verdict.family_slope != slope:
+        raise InvalidVerdictError(
+            f"verdict slope {verdict.family_slope} is not the family slope {slope}"
+        )
+    needed = {
+        Stability.UNSTABLE: "violation",
+        Stability.SEMISTABLE_ONLY: "equality_witness",
+    }.get(verdict.status)
+    for field in ("violation", "equality_witness"):
+        present = getattr(verdict, field) is not None
+        if present != (field == needed):
+            verb = "carries" if present else "lacks"
+            raise InvalidVerdictError(
+                f"{verdict.status.value} verdict {verb} a {field}"
+            )
+    if needed is None:
+        return
+    w = getattr(verdict, needed)
+    try:
+        again = subset_quotient(family, w.indices)
+    except InvalidFamilyError as err:
+        raise InvalidVerdictError(f"{needed} is not a subset: {err}") from None
+    if again != w:
+        raise InvalidVerdictError(
+            f"{needed} on {list(w.indices)} does not recompute: "
+            f"gcd {again.gcd}, quotient {again.quotient}"
+        )
+    if verdict.status is Stability.UNSTABLE and not w.quotient > slope:
+        raise InvalidVerdictError(
+            f"violation quotient {w.quotient} is not above the slope {slope}"
+        )
+    if verdict.status is Stability.SEMISTABLE_ONLY and w.quotient != slope:
+        raise InvalidVerdictError(
+            f"equality quotient {w.quotient} is not the slope {slope}"
+        )
+
+
 def check_brute_force(
     family: MonomialFamily, *, budget: int = DEFAULT_BRUTE_BUDGET
 ) -> StabilityVerdict:
@@ -216,26 +302,30 @@ def check_brute_force(
         visit(i + 1, chosen, g, deg_sum)
 
     visit(0, [], None, 0)
-    flag = not family.is_m_primary()
-    if best_q is None or best_q < slope:
-        return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
-    witness = SubsetWitness(
-        indices=best_idx,
-        gcd=best_gcd,
-        size=len(best_idx),
-        quotient=best_q,
-        family_slope=slope,
-    )
-    if best_q == slope:
-        return StabilityVerdict(
-            Stability.SEMISTABLE_ONLY,
-            slope,
-            equality_witness=witness,
-            criterion_value_only=flag,
-        )
-    return StabilityVerdict(
-        Stability.UNSTABLE, slope, violation=witness, criterion_value_only=flag
-    )
+    return _verdict(family, slope, best_q, best_idx, best_gcd)
+
+
+def _closure_masks(
+    family: MonomialFamily, max_size: int
+) -> dict[tuple[int, ...], int]:
+    """Every gcd of a nonempty subset of members, as an exponent tuple
+    mapped to the bitmask of the members it divides.
+
+    Built member by member as C <- C u {gcd(c, m) : c in C} u {m}.  A new
+    gcd g divides m and exactly the earlier members that some c with
+    gcd(c, m) = g divides (the gcd of g's earlier multiples is such a c),
+    so its mask is the union of theirs plus m's bit.
+    """
+    closure: dict[tuple[int, ...], int] = {}
+    for i, m in enumerate(family.members):
+        e, bit = m.exponents, 1 << i
+        updates = [(tuple(map(min, c, e)), mask) for c, mask in closure.items()]
+        updates.append((e, 0))
+        for g, mask in updates:
+            closure[g] = closure.get(g, 0) | mask | bit
+            if len(closure) > max_size:
+                raise CapacityError(f"gcd closure exceeded {max_size} elements")
+    return closure
 
 
 def gcd_closure(
@@ -243,44 +333,44 @@ def gcd_closure(
 ) -> tuple[Monomial, ...]:
     """All gcds of nonempty subsets of the family, in canonical order.
 
-    Computed as the fixpoint of pairwise gcds; this is the same set because
-    the gcd operation is associative.  Includes the members themselves and,
-    whenever the family has no common factor, the unit.
+    Includes the members themselves and, whenever the family has no common
+    factor, the unit.  Raises ``CapacityError`` beyond ``max_size``
+    elements.
     """
-    closure: set[Monomial] = set(family.members)
-    queue: list[Monomial] = list(family.members)
-    while queue:
-        g = queue.pop()
-        for h in list(closure):
-            m = g.gcd(h)
-            if m not in closure:
-                closure.add(m)
-                queue.append(m)
-                if len(closure) > max_size:
-                    raise CapacityError(
-                        f"gcd closure exceeded {max_size} elements"
-                    )
-    return tuple(sorted(closure, key=Monomial.canon_key))
+    return tuple(
+        sorted(map(Monomial, _closure_masks(family, max_size)), key=Monomial.canon_key)
+    )
 
 
-def _equal_margin_scan_grid(
-    family: MonomialFamily, d: int
-) -> tuple[int, Monomial] | None:
-    """Minimum margin over all candidate divisors of degree 1..d-1, counting
-    multiples with chunked integer array comparisons.  Returns the margin
-    and the first minimizing candidate in canonical order, or None when no
-    candidate divides two or more members."""
+def _closure_candidates(family: MonomialFamily, slope: Fraction, closure_limit: int):
+    """For every gcd-closure element g and size k, the k-prefix of g's
+    multiples in canonical order, as (numerator, denominator, g, k) of the
+    quotient bound (deg g - degree sum) / (k - 1); only bounds at or above
+    the slope."""
+    degs, top = family.degrees, family.n - 1
+    for g, mask in _closure_masks(family, closure_limit).items():
+        base, total, k = sum(g), 0, 0
+        while mask and k < top:
+            low = mask & -mask
+            mask ^= low
+            total += degs[low.bit_length() - 1]
+            k += 1
+            num = base - total
+            if k >= 2 and num * slope.denominator >= slope.numerator * (k - 1):
+                yield num, k - 1, g, k
+
+
+def _grid_candidates(family: MonomialFamily, d: int):
+    """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
+    full multiple set of size k >= 2, where the quotient is largest, as
+    (numerator, denominator, g, k); only margins at or below zero, found by
+    chunked integer array comparisons."""
     n, v = family.n, family.var_count
     members_arr = np.array([m.exponents for m in family.members], dtype=np.int64)
     chunk_rows = max(1, 2_000_000 // max(1, n * v))
-    best: tuple[int, Monomial] | None = None
-    buf: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        nonlocal best
-        if not buf:
-            return
-        cand = np.array(buf, dtype=np.int64)
+    cells = chain.from_iterable(exponent_vectors_of_degree(v, t) for t in range(1, d))
+    while chunk := list(islice(cells, chunk_rows)):
+        cand = np.array(chunk, dtype=np.int64)
         counts = (
             (cand[:, None, :] <= members_arr[None, :, :])
             .all(axis=2)
@@ -288,45 +378,9 @@ def _equal_margin_scan_grid(
         )
         cdeg = cand.sum(axis=1)
         margins = (d - cdeg) * n + cdeg - d * counts
-        eligible = counts >= 2
-        if eligible.any():
-            margins = np.where(eligible, margins, np.iinfo(np.int64).max)
-            low = int(margins.min())
-            if best is None or low < best[0]:
-                pos = int(np.argmax(margins == low))
-                best = (low, Monomial(tuple(int(e) for e in cand[pos])))
-        buf.clear()
-
-    for t in range(1, d):
-        for exps in exponent_vectors_of_degree(v, t):
-            buf.append(exps)
-            if len(buf) >= chunk_rows:
-                flush()
-    flush()
-    return best
-
-
-def _equal_margin_scan_closure(
-    family: MonomialFamily, d: int, closure_limit: int
-) -> tuple[int, Monomial] | None:
-    """Same minimum as the grid scan, but over the family's gcd closure.
-
-    Any divisor grid minimizer is the gcd of its own multiple set (otherwise
-    that gcd has the same multiples and a strictly smaller margin), so it
-    lies in the closure and the two scans agree, witness included.
-    """
-    n = family.n
-    best: tuple[int, Monomial] | None = None
-    for g in gcd_closure(family, max_size=closure_limit):
-        if not 1 <= g.degree <= d - 1:
-            continue
-        k = len(family.indices_of_multiples(g))
-        if k < 2:
-            continue
-        margin = equal_degree_margin(n, d, g.degree, k)
-        if best is None or margin < best[0]:
-            best = (margin, g)
-    return best
+        for row in np.flatnonzero((counts >= 2) & (margins <= 0)).tolist():
+            k = int(counts[row])
+            yield int(cdeg[row]) - d * k, k - 1, chunk[row], k
 
 
 def check_efficient(
@@ -337,106 +391,40 @@ def check_efficient(
 ) -> StabilityVerdict:
     """Decide stability by scanning candidate gcds instead of subsets.
 
-    For equal degrees the margin is strictly decreasing in the subset size,
-    so each candidate divisor is tested once against all its multiples;
-    candidates come from the full divisor grid when it is small and from the
-    gcd closure otherwise.  Mixed degrees fall through to the general
-    closure scan.  Verdicts agree with ``check_brute_force`` everywhere.
+    A subset of size k whose gcd is divisible by g has a quotient at most
+    that of the first k multiples of g in canonical order, which have the
+    smallest degrees; with g the subset's own gcd, that prefix attains the
+    bound.  So the maximum over candidates g and prefixes is the maximum
+    over subsets, and the lexicographically smallest maximizing prefix is
+    the oracle's witness.  Equal-degree families whose divisor grid has at
+    most ``grid_limit`` cells take their candidates from the grid, where
+    only full multiple sets matter because the quotient grows with k; all
+    others from the gcd closure.  Verdicts equal ``check_brute_force``'s.
     """
     _validate_for_check(family)
-    if not family.is_equal_degree:
-        return check_mixed_degrees(family, closure_limit=closure_limit)
-    d = family.degrees[0]
-    v = family.var_count
-    grid_count = comb(v + d - 1, v) - 1 if d >= 1 else 0
-    if grid_count <= grid_limit:
-        scan = _equal_margin_scan_grid(family, d)
-    else:
-        scan = _equal_margin_scan_closure(family, d, closure_limit)
-
     slope = family_slope(family)
-    flag = not family.is_m_primary()
-    if scan is None or scan[0] > 0:
-        return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
-    margin, g = scan
-    idxs = family.indices_of_multiples(g)
-    chosen = [family.members[i] for i in idxs]
-    true_gcd = reduce(Monomial.gcd, chosen)
-    assert true_gcd == g, "margin minimizer must be the gcd of its multiples"
-    quotient = Fraction(g.degree - sum(m.degree for m in chosen), len(idxs) - 1)
-    witness = SubsetWitness(
-        indices=idxs,
-        gcd=g,
-        size=len(idxs),
-        quotient=quotient,
-        family_slope=slope,
+    d, v = family.degrees[0], family.var_count
+    if family.is_equal_degree and comb(v + d - 1, v) - 1 <= grid_limit:
+        candidates = _grid_candidates(family, d)
+    else:
+        candidates = _closure_candidates(family, slope, closure_limit)
+    best_num, best_den, best = 0, 1, []
+    for num, den, g, k in candidates:
+        cross = num * best_den - best_num * den
+        if not best or cross > 0:
+            best_num, best_den, best = num, den, [(g, k)]
+        elif cross == 0:
+            best.append((g, k))
+    if not best:
+        return _verdict(family, slope)
+    indices, g = min(
+        (family.indices_of_multiples(Monomial(g))[:k], g) for g, k in best
     )
-    if margin == 0:
-        assert quotient == slope
-        return StabilityVerdict(
-            Stability.SEMISTABLE_ONLY,
-            slope,
-            equality_witness=witness,
-            criterion_value_only=flag,
-        )
-    assert quotient > slope
-    return StabilityVerdict(
-        Stability.UNSTABLE, slope, violation=witness, criterion_value_only=flag
-    )
+    return _verdict(family, slope, Fraction(best_num, best_den), indices, Monomial(g))
 
 
 def check_mixed_degrees(
     family: MonomialFamily, *, closure_limit: int = DEFAULT_CLOSURE_LIMIT
 ) -> StabilityVerdict:
-    """Decide stability for arbitrary member degrees via the gcd closure.
-
-    For a candidate divisor g and subset size k, the extreme subset among
-    multiples of g is the k members of smallest degree; the family's
-    canonical order already sorts members by degree, so those are prefixes
-    of the multiple list.  The best candidate's prefix, with its gcd
-    recomputed, realizes the overall maximum exactly.
-    """
-    _validate_for_check(family)
-    n = family.n
-    slope = family_slope(family)
-    best_q: Fraction | None = None
-    best_g: Monomial | None = None
-    best_k = 0
-    for g in gcd_closure(family, max_size=closure_limit):
-        idxs = family.indices_of_multiples(g)
-        if len(idxs) < 2:
-            continue
-        degs = [family.members[i].degree for i in idxs]
-        prefix = list(accumulate(degs))
-        for k in range(2, min(len(idxs), n - 1) + 1):
-            q = Fraction(g.degree - prefix[k - 1], k - 1)
-            if best_q is None or q > best_q:
-                best_q, best_g, best_k = q, g, k
-
-    flag = not family.is_m_primary()
-    if best_q is None or best_q < slope:
-        return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
-    idxs = family.indices_of_multiples(best_g)[:best_k]
-    chosen = [family.members[i] for i in idxs]
-    true_gcd = reduce(Monomial.gcd, chosen)
-    quotient = Fraction(
-        true_gcd.degree - sum(m.degree for m in chosen), best_k - 1
-    )
-    assert quotient == best_q, "prefix subset must realize the candidate value"
-    witness = SubsetWitness(
-        indices=idxs,
-        gcd=true_gcd,
-        size=best_k,
-        quotient=quotient,
-        family_slope=slope,
-    )
-    if best_q == slope:
-        return StabilityVerdict(
-            Stability.SEMISTABLE_ONLY,
-            slope,
-            equality_witness=witness,
-            criterion_value_only=flag,
-        )
-    return StabilityVerdict(
-        Stability.UNSTABLE, slope, violation=witness, criterion_value_only=flag
-    )
+    """``check_efficient`` forced onto the gcd-closure scan."""
+    return check_efficient(family, grid_limit=0, closure_limit=closure_limit)

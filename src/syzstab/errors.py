@@ -28,6 +28,11 @@ class CommonFactorError(Error):
     not define a syzygy bundle; divide it out and re-check the quotient."""
 
 
+class InvalidVerdictError(Error):
+    """A stability verdict does not carry the witness its status needs, or
+    the witness does not recompute on the claimed side of the slope."""
+
+
 class CapacityError(Error):
     """An enumeration or closure would exceed its configured budget."""
 

@@ -97,17 +97,14 @@ class Monomial:
         """Parse a single monomial, either compact (``x0^5 x2^3``) or as a
         bare exponent vector (``5 0 3``)."""
         kind, payload = _parse_member_line(text)
-        if kind == "vector":
-            if var_count is not None and len(payload) != var_count:
-                raise FamilyFormatError(
-                    f"expected {var_count} exponents, got {len(payload)}"
-                )
-            return cls(tuple(payload))
         if var_count is None:
             if kind == "unit":
                 raise FamilyFormatError("cannot infer variable count from '1'")
-            var_count = max(2, max(i for i, _ in payload) + 1)
-        return _compact_to_monomial(kind, payload, var_count)
+            if kind == "vector":
+                var_count = len(payload)
+            else:
+                var_count = max(2, max(i for i, _ in payload) + 1)
+        return _to_monomial(kind, payload, var_count)
 
     def __str__(self) -> str:
         if self.is_unit:
@@ -141,16 +138,28 @@ def _parse_member_line(line: str):
     return "compact", pairs
 
 
-def _compact_to_monomial(kind: str, pairs, var_count: int) -> Monomial:
-    exps = [0] * var_count
-    if kind == "compact":
-        for index, exponent in pairs:
+def _to_monomial(kind: str, payload, var_count: int) -> Monomial:
+    """Build one classified member line over ``var_count`` variables.
+    Every failure, including ``Monomial``'s own validation, is reported as
+    a ``FamilyFormatError``."""
+    if kind == "vector":
+        if len(payload) != var_count:
+            raise FamilyFormatError(
+                f"expected {var_count} exponents, got {len(payload)}"
+            )
+        exps = list(payload)
+    else:
+        exps = [0] * var_count
+        for index, exponent in payload or ():
             if index >= var_count:
                 raise FamilyFormatError(
                     f"variable x{index} out of range for {var_count} variables"
                 )
             exps[index] += exponent
-    return Monomial(tuple(exps))
+    try:
+        return Monomial(tuple(exps))
+    except ValueError as err:
+        raise FamilyFormatError(str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,7 @@ class MonomialFamily:
         ``vars=K`` pins the variable count.
         """
         var_count: int | None = None
-        raw: list[tuple[str, object]] = []
+        raw: list[tuple[int, str, object]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -257,13 +266,13 @@ class MonomialFamily:
                     raise FamilyFormatError("vars= must be at least 2")
                 continue
             try:
-                raw.append(_parse_member_line(line))
+                raw.append((lineno, *_parse_member_line(line)))
             except FamilyFormatError as err:
                 raise FamilyFormatError(f"line {lineno}: {err}") from None
         if not raw:
             raise FamilyFormatError("no monomials found")
         if var_count is None:
-            vector_lens = {len(p) for kind, p in raw if kind == "vector"}
+            vector_lens = {len(p) for _, kind, p in raw if kind == "vector"}
             if len(vector_lens) > 1:
                 raise FamilyFormatError(
                     f"inconsistent exponent vector lengths {sorted(vector_lens)}"
@@ -274,21 +283,17 @@ class MonomialFamily:
                     raise FamilyFormatError("exponent vectors need at least 2 entries")
             else:
                 indices = [
-                    i for kind, p in raw if kind == "compact" for i, _ in p
+                    i for _, kind, p in raw if kind == "compact" for i, _ in p
                 ]
                 if not indices:
                     raise FamilyFormatError("cannot infer variable count")
                 var_count = max(2, max(indices) + 1)
         members = []
-        for kind, payload in raw:
-            if kind == "vector":
-                if len(payload) != var_count:
-                    raise FamilyFormatError(
-                        f"expected {var_count} exponents, got {len(payload)}"
-                    )
-                members.append(Monomial(tuple(payload)))
-            else:
-                members.append(_compact_to_monomial(kind, payload, var_count))
+        for lineno, kind, payload in raw:
+            try:
+                members.append(_to_monomial(kind, payload, var_count))
+            except FamilyFormatError as err:
+                raise FamilyFormatError(f"line {lineno}: {err}") from None
         return cls(var_count, tuple(members))
 
     def to_text(self) -> str:

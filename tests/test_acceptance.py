@@ -12,7 +12,7 @@ from syzstab.criterion import (
     check_brute_force,
     check_efficient,
     equal_degree_margin,
-    subset_quotient,
+    verify_verdict,
 )
 from syzstab.errors import ExcludedCaseError
 from syzstab.families import generate, generate_P2
@@ -21,28 +21,6 @@ from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 from syzstab.search import NONE_SEMISTABLE, exhaustive_search
 
 RANDOM_SEED = 20260825
-
-
-def revalidate_witnesses(family, verdict):
-    """Any reported witness must recompute exactly via subset_quotient and
-    sit on the claimed side of the slope."""
-    if verdict.status is Stability.UNSTABLE:
-        w = verdict.violation
-        assert w is not None
-        again = subset_quotient(family, w.indices)
-        assert again.quotient == w.quotient
-        assert again.gcd == w.gcd
-        assert again.quotient > verdict.family_slope
-    else:
-        assert verdict.violation is None
-    if verdict.status is Stability.SEMISTABLE_ONLY:
-        w = verdict.equality_witness
-        assert w is not None
-        again = subset_quotient(family, w.indices)
-        assert again.quotient == w.quotient
-        assert again.quotient == verdict.family_slope
-    else:
-        assert verdict.equality_witness is None
 
 
 def all_plane_m_primary_families(d_max, n_max):
@@ -85,25 +63,25 @@ def random_gcd_one_family(rng, max_dim=3, max_degree=8, max_size=12):
 
 def test_subset_oracle_and_divisor_scan_agree_everywhere():
     # Exhaustive over small plane families, then a large seeded random
-    # sample including mixed degrees and up to four variables.
-    count = 0
-    for family in all_plane_m_primary_families(d_max=4, n_max=7):
+    # sample including mixed degrees and up to four variables.  Whole
+    # verdicts must agree, witness included, on the default path and on
+    # the forced gcd-closure scan.
+    def agree(family):
         slow = check_brute_force(family)
         fast = check_efficient(family)
-        assert slow.status is fast.status, family.to_text()
-        revalidate_witnesses(family, slow)
-        revalidate_witnesses(family, fast)
+        closure = check_efficient(family, grid_limit=0)
+        assert slow == fast == closure, family.to_text()
+        verify_verdict(family, slow)
+
+    count = 0
+    for family in all_plane_m_primary_families(d_max=4, n_max=7):
+        agree(family)
         count += 1
     assert count == 902
 
     rng = random.Random(RANDOM_SEED)
     for _ in range(10_000):
-        family = random_gcd_one_family(rng)
-        slow = check_brute_force(family)
-        fast = check_efficient(family)
-        assert slow.status is fast.status, family.to_text()
-        revalidate_witnesses(family, slow)
-        revalidate_witnesses(family, fast)
+        agree(random_gcd_one_family(rng))
 
 
 def test_exact_fixture_verdicts():

@@ -79,6 +79,13 @@ def test_check_non_m_primary_warning(capsys):
     assert "not m-primary" in captured.err
 
 
+def test_check_degree_over_cap_exits_one(capsys):
+    assert cli.main(["check", "--inline", "x0^2000000, x1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:")
+    assert "exceeds the limit" in err
+
+
 def test_check_errors_exit_one(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "missing.txt")]) == 1
     assert "error:" in capsys.readouterr().err

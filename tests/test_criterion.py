@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,13 @@ from syzstab.criterion import (
     family_slope,
     gcd_closure,
     subset_quotient,
+    verify_verdict,
 )
 from syzstab.errors import (
     CapacityError,
     CommonFactorError,
     InvalidFamilyError,
+    InvalidVerdictError,
 )
 from syzstab.monomial import Monomial, MonomialFamily, monomials_of_degree
 
@@ -179,6 +184,27 @@ def test_gcd_closure_is_closed():
             assert a.gcd(b) in closure
 
 
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda v: st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=4)] * v),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_gcd_closure_is_exactly_the_subset_gcds(members):
+    fam = MonomialFamily.of(members)
+    expected = {
+        reduce(Monomial.gcd, subset)
+        for k in range(1, fam.n + 1)
+        for subset in combinations(fam.members, k)
+    }
+    assert gcd_closure(fam) == tuple(sorted(expected, key=Monomial.canon_key))
+
+
 def test_gcd_closure_capacity():
     fam = MonomialFamily.of([(2, 0), (1, 1), (0, 2)])
     with pytest.raises(CapacityError):
@@ -218,6 +244,42 @@ def test_non_m_primary_flagged(check):
     verdict = check(fam)
     assert verdict.criterion_value_only
     assert verdict.status is Stability.SEMISTABLE_ONLY
+
+
+@pytest.mark.parametrize(
+    "fam", [STABLE_QUINTIC, UNSTABLE_QUINTIC, QUADRICS_52, MIXED_SEMI]
+)
+def test_verify_verdict_accepts_checker_output(fam):
+    verify_verdict(fam, check_brute_force(fam))
+    verify_verdict(fam, check_efficient(fam))
+
+
+def test_verify_verdict_rejects_broken_verdicts():
+    unstable = check_efficient(UNSTABLE_QUINTIC)
+    semi = check_efficient(QUADRICS_52)
+    w = unstable.violation
+    broken = [
+        (UNSTABLE_QUINTIC, replace(unstable, violation=None)),
+        (UNSTABLE_QUINTIC, replace(unstable, equality_witness=w)),
+        (UNSTABLE_QUINTIC, replace(unstable, family_slope=Fraction(-6))),
+        (UNSTABLE_QUINTIC, replace(unstable, status=Stability.STABLE)),
+        (UNSTABLE_QUINTIC, replace(unstable, status=Stability.SEMISTABLE_ONLY)),
+        (UNSTABLE_QUINTIC, replace(unstable, violation=replace(w, quotient=-5))),
+        (UNSTABLE_QUINTIC, replace(unstable, violation=replace(w, indices=(0, 9)))),
+        (
+            UNSTABLE_QUINTIC,
+            replace(unstable, violation=subset_quotient(UNSTABLE_QUINTIC, (2, 3))),
+        ),
+        (
+            QUADRICS_52,
+            replace(
+                semi, equality_witness=subset_quotient(QUADRICS_52, (0, 1, 2, 3))
+            ),
+        ),
+    ]
+    for fam, verdict in broken:
+        with pytest.raises(InvalidVerdictError):
+            verify_verdict(fam, verdict)
 
 
 def test_grid_and_closure_paths_agree():
@@ -279,18 +341,14 @@ def mixed_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_checkers_agree_equal_degree(fam):
     brute = check_brute_force(fam)
-    fast = check_efficient(fam)
-    assert brute.status is fast.status
-    assert brute.family_slope == fast.family_slope
+    assert brute == check_efficient(fam) == check_efficient(fam, grid_limit=0)
 
 
 @given(mixed_families())
 @settings(max_examples=150, deadline=None)
 def test_checkers_agree_mixed_degrees(fam):
     brute = check_brute_force(fam)
-    fast = check_efficient(fam)
-    assert brute.status is fast.status
-    assert brute.family_slope == fast.family_slope
+    assert brute == check_efficient(fam) == check_efficient(fam, grid_limit=0)
 
 
 @given(equal_degree_families(), st.permutations(range(3)))

@@ -59,6 +59,8 @@ def test_parse_and_str_forms():
         Monomial.parse("x9^2", var_count=3)  # index beyond declared vars
     with pytest.raises(FamilyFormatError):
         Monomial.parse("y^2", var_count=3)
+    with pytest.raises(FamilyFormatError):
+        Monomial.parse("x0^2000000 x1")  # degree over the cap
 
 
 def test_family_sorts_canonically():
@@ -120,6 +122,9 @@ def test_from_text_errors_carry_line_numbers():
     with pytest.raises(FamilyFormatError) as err:
         MonomialFamily.from_text("x0^2\nwhat\n")
     assert "line 2" in str(err.value)
+    with pytest.raises(FamilyFormatError) as err:
+        MonomialFamily.from_text("x0\n# degree over the cap\nx1^2000000\n")
+    assert "line 3" in str(err.value)
     with pytest.raises(FamilyFormatError):
         MonomialFamily.from_text("")
     with pytest.raises(FamilyFormatError):
