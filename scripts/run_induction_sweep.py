@@ -6,20 +6,14 @@ check it, and expect a stable verdict everywhere."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
 from math import comb
 
 from syzstab.criterion import Stability, check_efficient
 from syzstab.families import generate
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    dims: tuple[int, ...]
-    d_max: int
-    jobs: int
 
 
 def sweep_cell(cell: tuple[int, int]) -> tuple[int, int, int, list[str]]:
@@ -49,21 +43,17 @@ def main() -> int:
     parser.add_argument("--d-max", type=int, default=8)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    config = SweepConfig(dims=tuple(args.dims), d_max=args.d_max, jobs=args.jobs)
 
-    cells = [(N, d) for N in config.dims for d in range(1, config.d_max + 1)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(sweep_cell, cells))
-    else:
-        results = [sweep_cell(cell) for cell in cells]
-
+    cells = [(N, d) for N in args.dims for d in range(1, args.d_max + 1)]
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     total = 0
     failures = []
-    for N, d, count, problems in results:
-        total += count
-        failures.extend(problems)
-        print(f"N={N} d={d}: {count} families checked, {len(problems)} problems")
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        scan = pool.map if pool else map
+        for N, d, count, problems in scan(sweep_cell, cells):
+            total += count
+            failures.extend(problems)
+            print(f"N={N} d={d}: {count} families checked, {len(problems)} problems")
     print(f"total: {total} families")
     for line in failures:
         print(f"PROBLEM {line}", file=sys.stderr)

@@ -7,20 +7,14 @@ semistable-only case at n = 5, d = 2)."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
 from math import comb
 
 from syzstab.criterion import Stability, check_efficient
 from syzstab.families import generate_P2
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    d_min: int
-    d_max: int
-    jobs: int
 
 
 def sweep_degree(d: int) -> tuple[int, int, list[str]]:
@@ -47,22 +41,18 @@ def main() -> int:
     parser.add_argument("--d-max", type=int, default=20)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    config = SweepConfig(d_min=args.d_min, d_max=args.d_max, jobs=args.jobs)
 
-    degrees = range(config.d_min, config.d_max + 1)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(sweep_degree, degrees))
-    else:
-        results = [sweep_degree(d) for d in degrees]
-
+    degrees = range(args.d_min, args.d_max + 1)
+    workers = min(args.jobs, len(degrees), os.cpu_count() or 1)
     total = 0
     failures = []
-    for d, count, problems in results:
-        total += count
-        failures.extend(problems)
-        print(f"d={d}: {count} families checked, {len(problems)} problems")
-    print(f"total: {total} families over d={config.d_min}..{config.d_max}")
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        scan = pool.map if pool else map
+        for d, count, problems in scan(sweep_degree, degrees):
+            total += count
+            failures.extend(problems)
+            print(f"d={d}: {count} families checked, {len(problems)} problems")
+    print(f"total: {total} families over d={args.d_min}..{args.d_max}")
     for line in failures:
         print(f"PROBLEM {line}", file=sys.stderr)
     return 1 if failures else 0

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .criterion import (
@@ -198,19 +198,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
-    print(f"N: {report.N}")
-    print(f"n: {report.n}")
-    print(f"d: {report.d}")
-    print(f"rank: {report.rank}")
-    print(f"c1: {report.c1}")
-    print(f"slope: {report.slope}")
-    print(f"h0: {report.h0}")
-    print(f"h1: {report.h1}")
-    print(f"h2: {report.h2}")
-    print(f"h3: {report.h3}")
-    print(f"h1_twist: {report.h1_twist}")
-    print(f"ext1: {report.ext1}")
-    print(f"component_dim: {report.component_dim}")
+    for field in fields(report):
+        print(f"{field.name}: {getattr(report, field.name)}")
     return 0
 
 
@@ -351,7 +340,10 @@ def build_parser() -> _Parser:
         "--jobs",
         type=int,
         default=None,
-        help="parallel partitions (default: SYZSTAB_JOBS or serial)",
+        help=(
+            "parallel partitions, capped at the partitions to scan and the "
+            "CPU count (default: SYZSTAB_JOBS or serial)"
+        ),
     )
     p_search.add_argument(
         "--resume",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import UnsupportedRangeError
+from .errors import InvalidFamilyError, UnsupportedRangeError
 from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
 
 #: Catalog constructions cover family sizes 3..18 in the plane.
@@ -74,9 +74,12 @@ def _validated(
     members: list[tuple[int, ...]], var_count: int, n: int, d: int
 ) -> MonomialFamily:
     family = MonomialFamily.of(members, var_count=var_count)
-    assert family.n == n, f"expected {n} members, built {family.n}"
-    assert all(m.degree == d for m in family.members), "degree mismatch"
-    assert family.is_m_primary(), "family must contain every pure power"
+    if family.n != n:
+        raise InvalidFamilyError(f"expected {n} members, built {family.n}")
+    if any(m.degree != d for m in family.members):
+        raise InvalidFamilyError(f"expected every member of degree {d}")
+    if not family.is_m_primary():
+        raise InvalidFamilyError("family must contain every pure power")
     return family
 
 

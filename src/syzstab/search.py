@@ -19,7 +19,9 @@ ascending-sorted exponent sequence is lexicographically minimal among all
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from math import comb
@@ -27,14 +29,22 @@ from typing import Callable, Optional
 
 from .criterion import Stability, check_efficient
 from .errors import Error, UnsupportedRangeError
-from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
 #: best_status value when no examined family is even semistable.
 NONE_SEMISTABLE = "none-semistable"
 
-_STATUS_RANK = {Stability.STABLE: 2, Stability.SEMISTABLE_ONLY: 1}
+#: Status value of each rank; a result is a (rank, sorted exponents) pair,
+#: with exponents None at rank 0.
+_RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
+
+#: Resume token fields, in the order they are written.
+_TOKEN_KEYS = (
+    "schema_version", "N", "d", "n", "partition", "offset",
+    "families_examined", "orbits_examined", "best_status", "best_family",
+)
 
 
 @dataclass(frozen=True)
@@ -88,20 +98,30 @@ def _is_orbit_representative(
     return True
 
 
-def _partition_sizes(free_count: int, k: int) -> list[int]:
-    """Family count per partition; partition p holds the subsets whose
-    smallest free index is p."""
+def _partitions(free_count: int, k: int) -> list[tuple[int, int]]:
+    """(partition, family count) pairs.  Partition p holds the subsets whose
+    smallest free index is p; with no free member to choose there is one
+    family, in partition -1."""
     if k == 0:
-        return [1]
-    return [comb(free_count - 1 - p, k - 1) for p in range(free_count)]
+        return [(-1, 1)]
+    if k < 0:
+        return []
+    return [(p, comb(free_count - 1 - p, k - 1)) for p in range(free_count)]
 
 
-def _scan_partition(
-    N: int, d: int, n: int, partition: int, skip: int, limit: Optional[int]
-) -> tuple[int, int, Optional[str], Optional[list]]:
-    """Enumerate one partition (from offset ``skip``, at most ``limit``
-    families) and return (families, orbits, best status value, best family
-    exponents)."""
+def _better(a: tuple, b: tuple) -> tuple:
+    """The better of two (rank, exponents) results: the higher rank wins,
+    and a tie goes to the smaller sorted exponent sequence, else to ``a``."""
+    if a[0] != b[0]:
+        return a if a[0] > b[0] else b
+    return b if b[0] and b[1] < a[1] else a
+
+
+def _scan_partition(job: tuple[int, ...]) -> tuple[int, int, tuple]:
+    """Enumerate one partition, ``job = (N, d, n, partition, skip, limit)``:
+    from offset ``skip``, at most ``limit`` families.  Return (families,
+    orbits, best (rank, exponents) result)."""
+    N, d, n, partition, skip, limit = job
     free = _free_monomials(N, d)
     pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
     perms = list(permutations(range(N + 1)))
@@ -110,80 +130,77 @@ def _scan_partition(
         tails = iter([()])
     else:
         tails = combinations(range(partition + 1, len(free)), k - 1)
-    stop = None if limit is None else skip + limit
     families = 0
-    best_rank = 0
-    best_exps: Optional[tuple[tuple[int, ...], ...]] = None
     orbits = 0
-    for tail in islice(tails, skip, stop):
+    best = (0, None)
+    for tail in islice(tails, skip, skip + limit):
         families += 1
         chosen = (partition, *tail) if k else ()
         exps = _sorted_exps(pure + [free[c] for c in chosen])
         if not _is_orbit_representative(exps, perms):
             continue
         orbits += 1
-        verdict = check_efficient(MonomialFamily.of(exps))
-        rank = _STATUS_RANK.get(verdict.status, 0)
-        if rank > best_rank or (rank == best_rank and rank and exps < best_exps):
-            best_rank, best_exps = rank, exps
-    status = {2: Stability.STABLE.value, 1: Stability.SEMISTABLE_ONLY.value}.get(
-        best_rank
-    )
-    return (
-        families,
-        orbits,
-        status,
-        None if best_exps is None else [list(e) for e in best_exps],
-    )
+        status = check_efficient(MonomialFamily.of(exps)).status.value
+        if status in _RANKED:
+            best = _better(best, (_RANKED.index(status), exps))
+    return families, orbits, best
 
 
-def _merge_best(
-    a_status: Optional[str], a_exps, b_status: Optional[str], b_exps
-) -> tuple[Optional[str], Optional[list]]:
-    rank = {Stability.STABLE.value: 2, Stability.SEMISTABLE_ONLY.value: 1, None: 0}
-    if rank[b_status] > rank[a_status]:
-        return b_status, b_exps
-    if rank[b_status] == rank[a_status] and b_exps is not None:
-        if a_exps is None or [tuple(e) for e in b_exps] < [tuple(e) for e in a_exps]:
-            return b_status, b_exps
-    return a_status, a_exps
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
-def _make_token(
-    N: int, d: int, n: int, partition: int, offset: int,
-    families: int, orbits: int, best_status: Optional[str], best_exps,
-) -> str:
-    return json.dumps(
-        {
-            "schema_version": 1,
-            "N": N,
-            "d": d,
-            "n": n,
-            "partition": partition,
-            "offset": offset,
-            "families_examined": families,
-            "orbits_examined": orbits,
-            "best_status": best_status,
-            "best_family": best_exps,
-        },
-        separators=(",", ":"),
-    )
-
-
-def _parse_token(token: str, N: int, d: int, n: int) -> dict:
+def _parse_token(
+    token: str, N: int, d: int, n: int, parts: list[tuple[int, int]]
+) -> tuple[int, int, int, int, tuple]:
+    """Validate a resume token against this run's partitions and return
+    (partition, offset, families, orbits, best result)."""
     try:
         state = json.loads(token)
-        assert state["schema_version"] == 1
-        for key in ("partition", "offset", "families_examined", "orbits_examined"):
-            assert isinstance(state[key], int)
-    except (AssertionError, KeyError, TypeError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:
         raise Error(f"malformed resume token: {exc}") from exc
+    if not isinstance(state, dict) or set(state) != set(_TOKEN_KEYS):
+        raise Error(f"malformed resume token: expected the keys {list(_TOKEN_KEYS)}")
+    if not _is_count(state["schema_version"]) or state["schema_version"] != 1:
+        raise Error(
+            f"unsupported resume token schema_version {state['schema_version']!r}"
+        )
+    for key in _TOKEN_KEYS[1:8]:  # N through orbits_examined
+        if not _is_count(state[key]):
+            raise Error(
+                f"malformed resume token: {key} must be a non-negative "
+                f"integer, got {state[key]!r}"
+            )
     if (state["N"], state["d"], state["n"]) != (N, d, n):
         raise Error(
             f"resume token is for (N={state['N']}, d={state['d']}, "
             f"n={state['n']}), not (N={N}, d={d}, n={n})"
         )
-    return state
+    partition, offset = state["partition"], state["offset"]
+    if partition >= len(parts) or offset >= parts[partition][1]:
+        raise Error(
+            f"resume token position (partition {partition}, offset {offset}) "
+            f"lies outside the search for (N={N}, d={d}, n={n})"
+        )
+    status, exps = state["best_status"], state["best_family"]
+    if status not in _RANKED:
+        raise Error(f"malformed resume token: unknown best_status {status!r}")
+    rank = _RANKED.index(status)
+    if (exps is None) != (rank == 0):
+        raise Error(
+            f"malformed resume token: best_family contradicts best_status {status!r}"
+        )
+    if exps is not None and not (
+        isinstance(exps, list) and len(exps) == n
+        and all(isinstance(e, list) and len(e) == N + 1
+                and all(map(_is_count, e)) and sum(e) == d for e in exps)
+    ):
+        raise Error(
+            f"malformed resume token: best_family must hold {n} exponent "
+            f"vectors of degree {d} in {N + 1} variables"
+        )
+    best = (rank, None if exps is None else tuple(map(tuple, exps)))
+    return partition, offset, state["families_examined"], state["orbits_examined"], best
 
 
 def exhaustive_search(
@@ -202,9 +219,10 @@ def exhaustive_search(
     ``budget`` caps the number of enumerated families; if it is reached
     the report has ``exhausted=False`` and carries a ``resume_token`` that
     a later call can pass to continue where this one stopped.  ``progress``
-    receives one dict per finished partition.  ``jobs`` enumerates
-    partitions in parallel; results are merged in partition order, so the
-    outcome is independent of scheduling.
+    receives one dict as each partition finishes, in partition order.
+    ``jobs`` enumerates partitions in parallel, with at most as many worker
+    processes as partitions to scan and CPUs; results are merged in
+    partition order, so the outcome is independent of scheduling.
     """
     if N < 1:
         raise UnsupportedRangeError(f"need at least 2 variables (N >= 1), got N={N}")
@@ -215,107 +233,62 @@ def exhaustive_search(
     if budget < 1:
         raise UnsupportedRangeError(f"budget must be positive, got {budget}")
 
-    k = n - (N + 1)
-    free = _free_monomials(N, d)
-    total = comb(len(free), k) if 0 <= k <= len(free) else 0
-
-    families = 0
-    orbits = 0
-    best_status: Optional[str] = None
-    best_exps = None
+    parts = _partitions(len(_free_monomials(N, d)), n - (N + 1))
+    families, orbits, best = 0, 0, (0, None)
     start_partition, start_offset = 0, 0
     if resume_token is not None:
-        state = _parse_token(resume_token, N, d, n)
-        start_partition = state["partition"]
-        start_offset = state["offset"]
-        families = state["families_examined"]
-        orbits = state["orbits_examined"]
-        best_status = state["best_status"]
-        best_exps = state["best_family"]
-
-    if total == 0:
-        return SearchReport(
-            N=N, n=n, d=d, families_examined=0, orbits_examined=0,
-            best_status=NONE_SEMISTABLE, best_family=None, exhausted=True,
+        start_partition, start_offset, families, orbits, best = _parse_token(
+            resume_token, N, d, n, parts
         )
 
-    sizes = _partition_sizes(len(free), k)
-    partitions = [-1] if k == 0 else list(range(len(free)))
-
-    # Per-partition enumeration caps reproducing the serial budget cut.
-    plan: list[tuple[int, int, int, Optional[int]]] = []  # (p, skip, cap, size_left)
+    # One job per partition, with enumeration caps reproducing the serial
+    # budget cut.
+    plan: list[tuple[int, ...]] = []
     remaining = budget - families
     truncated_at: Optional[tuple[int, int]] = None
-    for idx, p in enumerate(partitions):
-        if idx < start_partition:
-            continue
+    for idx in range(start_partition, len(parts)):
+        p, size = parts[idx]
         skip = start_offset if idx == start_partition else 0
-        size_left = sizes[idx] - skip
-        if size_left <= 0:
+        if size <= skip:
             continue
         if remaining <= 0:
             truncated_at = (idx, skip)
             break
-        cap = min(size_left, remaining)
-        plan.append((idx, p, skip, cap))
+        cap = min(size - skip, remaining)
+        plan.append((N, d, n, p, skip, cap))
         remaining -= cap
-        if cap < size_left:
+        if cap < size - skip:
             truncated_at = (idx, skip + cap)
             break
 
-    if jobs is not None and jobs > 1 and len(plan) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _scan_partition_star,
-                    [(N, d, n, p, skip, cap) for _, p, skip, cap in plan],
+    workers = min(jobs or 1, len(plan), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        scan = pool.map if pool else map
+        for job, (fams, orbs, found) in zip(plan, scan(_scan_partition, plan)):
+            families += fams
+            orbits += orbs
+            best = _better(best, found)
+            if progress is not None:
+                progress(
+                    {
+                        "event": "partition",
+                        "partition": job[3],
+                        "families": fams,
+                        "orbits": orbs,
+                        "families_examined": families,
+                        "orbits_examined": orbits,
+                        "best_status": _RANKED[best[0]] or NONE_SEMISTABLE,
+                    }
                 )
-            )
-    else:
-        results = [
-            _scan_partition(N, d, n, p, skip, cap) for _, p, skip, cap in plan
-        ]
 
-    for (idx, p, skip, cap), (fams, orbs, status, exps) in zip(plan, results):
-        families += fams
-        orbits += orbs
-        best_status, best_exps = _merge_best(best_status, best_exps, status, exps)
-        if progress is not None:
-            progress(
-                {
-                    "event": "partition",
-                    "partition": p,
-                    "families": fams,
-                    "orbits": orbs,
-                    "families_examined": families,
-                    "orbits_examined": orbits,
-                    "best_status": best_status or NONE_SEMISTABLE,
-                }
-            )
-
-    exhausted = truncated_at is None
     token = None
-    if not exhausted:
-        token = _make_token(
-            N, d, n, truncated_at[0], truncated_at[1],
-            families, orbits, best_status, best_exps,
-        )
-
-    best_family = None
-    if best_exps is not None:
-        best_family = MonomialFamily.of([tuple(e) for e in best_exps])
+    if truncated_at is not None:
+        status, exps = _RANKED[best[0]], best[1]
+        fields = (1, N, d, n, *truncated_at, families, orbits, status, exps)
+        token = json.dumps(dict(zip(_TOKEN_KEYS, fields)), separators=(",", ":"))
     return SearchReport(
-        N=N,
-        n=n,
-        d=d,
-        families_examined=families,
-        orbits_examined=orbits,
-        best_status=best_status or NONE_SEMISTABLE,
-        best_family=best_family,
-        exhausted=exhausted,
-        resume_token=token,
+        N=N, n=n, d=d, families_examined=families, orbits_examined=orbits,
+        best_status=_RANKED[best[0]] or NONE_SEMISTABLE,
+        best_family=None if best[1] is None else MonomialFamily.of(best[1]),
+        exhausted=truncated_at is None, resume_token=token,
     )
-
-
-def _scan_partition_star(args):
-    return _scan_partition(*args)

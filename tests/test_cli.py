@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from syzstab import cli
 from syzstab.families import generate_P2
 from syzstab.monomial import MonomialFamily
+from syzstab.search import exhaustive_search
 
 STABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n2 2 1\n"
 UNSTABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n4 1 0\n"
@@ -143,10 +146,10 @@ def test_generate_check_round_trip(tmp_path, capsys):
 def test_moduli_text(capsys):
     rc = cli.main(["moduli", "2", "4", "3"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "component_dim: 28" in out
-    assert "h1_twist: 6" in out
-    assert "slope: -4" in out
+    assert capsys.readouterr().out == (
+        "N: 2\nn: 4\nd: 3\nrank: 3\nc1: -12\nslope: -4\nh0: 0\nh1: 1\n"
+        "h2: 4\nh3: 0\nh1_twist: 6\next1: 28\ncomponent_dim: 28\n"
+    )
 
 
 def test_moduli_json(capsys):
@@ -188,6 +191,31 @@ def test_search_budget_and_resume_flags(capsys):
     final = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert final["exhausted"] is True
     assert final["families_examined"] == 35
+
+
+def test_search_malformed_resume_token_exits_one(capsys):
+    state = json.loads(exhaustive_search(2, 3, 6, budget=17).resume_token)
+    edits = [
+        {"best_status": "bogus"},
+        {"offset": -5},
+        {"partition": 10**6},
+        {"best_family": None},
+    ]
+    tokens = [json.dumps({**state, **edit}) for edit in edits]
+    for token in tokens + ['{"schema_version": 1}']:
+        assert cli.main(["search", "2", "3", "6", "--resume", token]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    # python -O strips assert statements; token validation must not use them.
+    del state["N"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "syzstab.cli", "search", "2", "3", "6",
+         "--resume", json.dumps(state)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_search_jobs_env(monkeypatch, capsys):

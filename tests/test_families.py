@@ -4,8 +4,9 @@ import pytest
 
 from syzstab.cli import render_triangle
 from syzstab.criterion import Stability, check_brute_force, check_efficient
-from syzstab.errors import UnsupportedRangeError
+from syzstab.errors import InvalidFamilyError, UnsupportedRangeError
 from syzstab.families import (
+    _validated,
     generate,
     generate_P2,
     generate_P31,
@@ -303,6 +304,18 @@ def test_full_set():
     fam, recipe = generate_full_set(2, 3)
     assert recipe.source == "FullSet"
     assert_well_formed(fam, recipe, 2, 10, 3)
+
+
+def test_post_validation_raises_without_asserts():
+    # Explicit checks, so that python -O still validates every family.
+    cubics = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
+    assert _validated(cubics, 3, 4, 3).n == 4
+    with pytest.raises(InvalidFamilyError, match="pure power"):
+        _validated([(3, 0, 0), (0, 3, 0), (1, 1, 1)], 3, 3, 3)
+    with pytest.raises(InvalidFamilyError, match="members"):
+        _validated(cubics, 3, 5, 3)
+    with pytest.raises(InvalidFamilyError, match="degree"):
+        _validated(cubics + [(2, 0, 0)], 3, 5, 3)
 
 
 # --- dispatchers ---------------------------------------------------------

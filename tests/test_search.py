@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from syzstab import search
 from syzstab.criterion import Stability, check_efficient
 from syzstab.errors import Error, UnsupportedRangeError
 from syzstab.families import generate_P2
@@ -101,6 +102,51 @@ def test_progress_reports_partitions():
     assert sum(e["families"] for e in events) == 8
 
 
+def test_serial_progress_streams_as_partitions_finish(monkeypatch):
+    checks = []
+
+    def counting_check(family):
+        checks.append(family)
+        return check_efficient(family)
+
+    monkeypatch.setattr(search, "check_efficient", counting_check)
+    checks_at_first_record = []
+
+    def progress(record):
+        if not checks_at_first_record:
+            checks_at_first_record.append(len(checks))
+
+    report = exhaustive_search(2, 5, 7, progress=progress)
+    assert len(checks) == report.orbits_examined
+    assert checks_at_first_record[0] < len(checks)
+
+
+def test_worker_count_is_capped_at_partitions_and_cpus(monkeypatch):
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert exhaustive_search(2, 3, 7, jobs=8) == exhaustive_search(2, 3, 7)
+    assert created == [2]
+    # Three quadrics in three variables are the pure powers alone: one
+    # partition, so no pool at all.
+    assert exhaustive_search(2, 2, 3, jobs=8).exhausted
+    assert created == [2]
+
+
 def test_orbit_reduction_is_sound():
     # Permuting the variables of the best family never changes its verdict,
     # so scanning only lexicographic-minimal representatives loses nothing.
@@ -123,6 +169,28 @@ def test_resume_token_validation():
     assert other is not None
     with pytest.raises(Error):
         exhaustive_search(2, 3, 6, resume_token=other)
+    state = json.loads(exhaustive_search(2, 3, 6, budget=17).resume_token)
+    assert state["best_status"] == "stable"
+    edits = [
+        {"best_status": "bogus"},
+        {"offset": -5},
+        {"partition": 10**6},
+        {"offset": 10**6},
+        {"N": True},
+        {"families_examined": 1.5},
+        {"schema_version": 2},
+        {"best_family": None},
+        {"best_status": None},
+        {"best_family": [[3, 0, 0]]},
+        {"best_family": [["x", 0, 3]] * 6},
+    ]
+    without_n = {k: v for k, v in state.items() if k != "N"}
+    tokens = [json.dumps({**state, **edit}) for edit in edits] + [
+        json.dumps(without_n), '{"schema_version": 1}', "[1]", "[" * 100000,
+    ]
+    for token in tokens:
+        with pytest.raises(Error):
+            exhaustive_search(2, 3, 6, resume_token=token)
 
 
 def test_parameter_validation():
