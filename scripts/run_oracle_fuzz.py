@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from syzstab.criterion import (
     Stability,
@@ -21,29 +20,20 @@ from syzstab.criterion import (
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    samples: int
-    seed: int
-    max_dim: int
-    max_degree: int
-    max_size: int
-
-
-def random_family(rng: random.Random, config: FuzzConfig) -> MonomialFamily:
+def random_family(rng: random.Random, args: argparse.Namespace) -> MonomialFamily:
     """A random gcd-1 family, equal-degree half the time, mixed otherwise."""
     while True:
-        var_count = rng.randint(2, config.max_dim + 1)
+        var_count = rng.randint(2, args.max_dim + 1)
         if rng.random() < 0.5:
-            d = rng.randint(1, config.max_degree)
+            d = rng.randint(1, args.max_degree)
             pool = list(exponent_vectors_of_degree(var_count, d))
-            n = rng.randint(2, min(config.max_size, len(pool)))
+            n = rng.randint(2, min(args.max_size, len(pool)))
             members = rng.sample(pool, n)
         else:
-            n = rng.randint(2, config.max_size)
+            n = rng.randint(2, args.max_size)
             members = set()
             while len(members) < n:
-                d = rng.randint(1, config.max_degree)
+                d = rng.randint(1, args.max_degree)
                 vec = [0] * var_count
                 for _ in range(d):
                     vec[rng.randrange(var_count)] += 1
@@ -62,20 +52,14 @@ def main() -> int:
     parser.add_argument("--max-degree", type=int, default=8)
     parser.add_argument("--max-size", type=int, default=12)
     args = parser.parse_args()
-    seed = args.seed if args.seed is not None else random.randrange(2**32)
-    config = FuzzConfig(
-        samples=args.samples,
-        seed=seed,
-        max_dim=args.max_dim,
-        max_degree=args.max_degree,
-        max_size=args.max_size,
-    )
-    print(f"seed: {config.seed}")
-    rng = random.Random(config.seed)
+    if args.seed is None:
+        args.seed = random.randrange(2**32)
+    print(f"seed: {args.seed}")
+    rng = random.Random(args.seed)
 
     counts = {status: 0 for status in Stability}
-    for index in range(config.samples):
-        family = random_family(rng, config)
+    for index in range(args.samples):
+        family = random_family(rng, args)
         slow = check_brute_force(family)
         fast = check_efficient(family)
         closure = check_efficient(family, grid_limit=0)
@@ -89,7 +73,7 @@ def main() -> int:
         verify_verdict(family, slow)
         counts[fast.status] += 1
         if (index + 1) % 1000 == 0:
-            print(f"{index + 1}/{config.samples} checked")
+            print(f"{index + 1}/{args.samples} checked")
 
     for status, count in counts.items():
         print(f"{status.value}: {count}")

@@ -28,7 +28,12 @@ from .errors import Error, FamilyFormatError, InvalidFamilyError, MismatchedVari
 from .families import generate
 from .moduli import cohomology_table
 from .monomial import MonomialFamily
-from .search import DEFAULT_BUDGET, exhaustive_search
+from .search import (
+    DEFAULT_BUDGET,
+    MAX_SEARCH_MONOMIALS,
+    MAX_SEARCH_N,
+    exhaustive_search,
+)
 
 SCHEMA_VERSION = 1
 
@@ -326,6 +331,11 @@ def build_parser() -> _Parser:
     p_search = sub.add_parser(
         "search",
         help="exhaust m-primary families for (N, d, n), up to symmetry",
+        description=(
+            "Exhaust m-primary families for (N, d, n), up to symmetry. "
+            f"Supports N <= {MAX_SEARCH_N} and at most "
+            f"{MAX_SEARCH_MONOMIALS:,} monomials of degree d in N+1 variables."
+        ),
     )
     p_search.add_argument("N", type=int, help="projective dimension")
     p_search.add_argument("d", type=int, help="common degree")

@@ -11,9 +11,13 @@ the whole family, must satisfy::
 
 This module offers two independent deciders.  ``check_brute_force`` walks
 every subset and is the transparent oracle.  ``check_efficient`` scans only
-candidate gcds (a divisor grid, or the gcd closure of the family) and is
-exact as well: every subset's gcd shows up as a candidate, and every
-candidate's extreme value is realized by an actual subset.
+candidate gcds and is exact as well: every subset's gcd shows up as a
+candidate, and every candidate's extreme value is realized by an actual
+subset.  Its candidates come from one of two scans.  For an equal-degree-d
+family, a dominance-count lattice scan counts the multiples of every cell
+of an exponent box (exponents clipped to d-1) by reversed cumulative sums
+along each axis.  The scan is taken when the box has at most
+``grid_limit`` cells.  Every other family uses the gcd closure.
 
 Both report the same witness for a verdict that is not stable: the subset
 with the largest quotient, ties going to the lexicographically smallest
@@ -26,8 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice
-from math import comb
+from math import prod
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import Monomial, MonomialFamily
 
 DEFAULT_BRUTE_BUDGET = 2**24
 DEFAULT_GRID_LIMIT = 500_000
@@ -360,27 +363,39 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction, closure_limit: 
                 yield num, k - 1, g, k
 
 
-def _grid_candidates(family: MonomialFamily, d: int):
+def _lattice_box(family: MonomialFamily, d: int) -> tuple[int, ...]:
+    """Shape of the exponent box holding every divisor of degree below d
+    that divides a member: axis i runs up to min(max exponent of x_i, d-1)."""
+    exps = zip(*(m.exponents for m in family.members))
+    return tuple(min(top, d - 1) + 1 for top in map(max, exps))
+
+
+def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
     """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
     full multiple set of size k >= 2, where the quotient is largest, as
-    (numerator, denominator, g, k); only margins at or below zero, found by
-    chunked integer array comparisons."""
-    n, v = family.n, family.var_count
-    members_arr = np.array([m.exponents for m in family.members], dtype=np.int64)
-    chunk_rows = max(1, 2_000_000 // max(1, n * v))
-    cells = chain.from_iterable(exponent_vectors_of_degree(v, t) for t in range(1, d))
-    while chunk := list(islice(cells, chunk_rows)):
-        cand = np.array(chunk, dtype=np.int64)
-        counts = (
-            (cand[:, None, :] <= members_arr[None, :, :])
-            .all(axis=2)
-            .sum(axis=1, dtype=np.int64)
-        )
-        cdeg = cand.sum(axis=1)
-        margins = (d - cdeg) * n + cdeg - d * counts
-        for row in np.flatnonzero((counts >= 2) & (margins <= 0)).tolist():
-            k = int(counts[row])
-            yield int(cdeg[row]) - d * k, k - 1, chunk[row], k
+    (numerator, denominator, g, k); only margins at or below zero.
+
+    k is a dominance count: put one member per cell of ``box`` (exponents
+    clipped to d-1, which no such g exceeds) and take reversed cumulative
+    sums along every axis, so each cell holds #{members >= g}.  A cell of
+    degree d or more divides at most one member, so k >= 2 bounds the
+    degree from above."""
+    n = family.n
+    members = np.minimum(
+        np.array([m.exponents for m in family.members], dtype=np.int64), d - 1
+    )
+    count = np.bincount(
+        np.ravel_multi_index(members.T, box), minlength=prod(box)
+    ).reshape(box)
+    for axis in range(len(box)):
+        rev = (slice(None),) * axis + (slice(None, None, -1),)
+        count = count[rev].cumsum(axis=axis)[rev]
+    shared = count >= 2
+    cells, size = np.argwhere(shared), count[shared]
+    deg = cells.sum(axis=1)
+    hit = (deg >= 1) & ((d - deg) * n + deg <= d * size)
+    for g, t, k in zip(cells[hit].tolist(), deg[hit].tolist(), size[hit].tolist()):
+        yield t - d * k, k - 1, tuple(g), k
 
 
 def check_efficient(
@@ -396,16 +411,19 @@ def check_efficient(
     smallest degrees; with g the subset's own gcd, that prefix attains the
     bound.  So the maximum over candidates g and prefixes is the maximum
     over subsets, and the lexicographically smallest maximizing prefix is
-    the oracle's witness.  Equal-degree families whose divisor grid has at
-    most ``grid_limit`` cells take their candidates from the grid, where
-    only full multiple sets matter because the quotient grows with k; all
-    others from the gcd closure.  Verdicts equal ``check_brute_force``'s.
+    the oracle's witness.  Equal-degree-d families whose exponent box, of
+    min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
+    ``grid_limit`` cells take their candidates from the lattice scan of
+    that box, where only full multiple sets matter because the quotient
+    grows with k; all others from the gcd closure.  ``grid_limit=0``
+    forces the closure.  Verdicts equal ``check_brute_force``'s.
     """
     _validate_for_check(family)
     slope = family_slope(family)
-    d, v = family.degrees[0], family.var_count
-    if family.is_equal_degree and comb(v + d - 1, v) - 1 <= grid_limit:
-        candidates = _grid_candidates(family, d)
+    d = family.degrees[0]
+    box = family.is_equal_degree and _lattice_box(family, d)
+    if box and prod(box) <= grid_limit:
+        candidates = _grid_candidates(family, d, box)
     else:
         candidates = _closure_candidates(family, slope, closure_limit)
     best_num, best_den, best = 0, 1, []

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InvalidFamilyError, UnsupportedRangeError
-from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import MAX_DEGREE, Monomial, MonomialFamily, exponent_vectors_of_degree
 
 #: Catalog constructions cover family sizes 3..18 in the plane.
 CATALOG_MAX_SIZE = 18
@@ -396,10 +396,17 @@ def generate_full_set(N: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
 
 # -- dispatchers --------------------------------------------------------
 
+def _check_degree(d: int) -> None:
+    """Reject a degree no member can have, before any member is built."""
+    if not 1 <= d <= MAX_DEGREE:
+        raise UnsupportedRangeError(
+            f"degree must be between 1 and {MAX_DEGREE}, got {d}"
+        )
+
+
 def generate_P2(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """Plane dispatcher: pick the construction for 3 <= n <= (d+2)(d+1)/2."""
-    if d < 1:
-        raise UnsupportedRangeError(f"degree must be at least 1, got {d}")
+    _check_degree(d)
     full = comb(d + 2, 2)
     if not 3 <= n <= full:
         raise UnsupportedRangeError(
@@ -428,8 +435,7 @@ def generate(N: int, n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         raise UnsupportedRangeError(
             f"constructions need at least 3 variables (N >= 2), got N={N}"
         )
-    if d < 1:
-        raise UnsupportedRangeError(f"degree must be at least 1, got {d}")
+    _check_degree(d)
     if N == 2:
         return generate_P2(n, d)
     full = comb(d + N, N)

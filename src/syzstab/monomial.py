@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -220,7 +220,8 @@ class MonomialFamily:
         return len(set(self.degrees)) == 1
 
     def overall_gcd(self) -> Monomial:
-        return reduce(Monomial.gcd, self.members)
+        exps = zip(*(m.exponents for m in self.members))
+        return Monomial(tuple(map(min, exps)))
 
     def is_m_primary(self) -> bool:
         """True when the family contains a pure power of every variable,

@@ -33,6 +33,14 @@ from .monomial import MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
+#: Largest supported N.  The orbit filter holds all (N+1)! permutations of
+#: the variables; at N = 9 that list alone takes about half a gigabyte.
+MAX_SEARCH_N = 9
+
+#: Largest supported number C(N+d, N) of degree-d monomials, all of which
+#: are listed before the first family is enumerated.
+MAX_SEARCH_MONOMIALS = 10**6
+
 #: best_status value when no examined family is even semistable.
 NONE_SEMISTABLE = "none-semistable"
 
@@ -232,6 +240,16 @@ def exhaustive_search(
         raise UnsupportedRangeError(f"need at least 2 monomials, got n={n}")
     if budget < 1:
         raise UnsupportedRangeError(f"budget must be positive, got {budget}")
+    if N > MAX_SEARCH_N:
+        raise UnsupportedRangeError(
+            f"search supports N <= {MAX_SEARCH_N}, got N={N}: the orbit filter "
+            f"holds all (N+1)! variable permutations"
+        )
+    if comb(N + d, N) > MAX_SEARCH_MONOMIALS:
+        raise UnsupportedRangeError(
+            f"search supports at most {MAX_SEARCH_MONOMIALS} monomials of "
+            f"degree d, got C(N+d, N) = {comb(N + d, N)} for N={N}, d={d}"
+        )
 
     parts = _partitions(len(_free_monomials(N, d)), n - (N + 1))
     families, orbits, best = 0, 0, (0, None)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,12 @@ def test_generate_json(capsys):
 
 def test_generate_unsupported_exit_one(capsys):
     assert cli.main(["generate", "1", "3", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # A degree no monomial may have is refused before any member is built.
+    for N in ("2", "3"):
+        assert cli.main(["generate", N, "5", "2000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree must be between 1 and 1000000")
 
 
 def test_generate_check_round_trip(tmp_path, capsys):
@@ -216,6 +223,24 @@ def test_search_malformed_resume_token_exits_one(capsys):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("triple", [("40", "2", "42"), ("2", "2000000", "5")])
+def test_search_beyond_caps_exits_one(triple):
+    # Without the caps, set-up lists all (N+1)! permutations or all
+    # C(N+d, N) monomials before the budget applies.  A child process with a
+    # timeout and a memory limit turns such a hang into a failure.
+    limit = 512 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "syzstab.cli", "search", *triple, "--budget", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: search supports ")
 
 
 def test_search_jobs_env(monkeypatch, capsys):

@@ -3,10 +3,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from syzstab import criterion
 from syzstab.criterion import (
     Stability,
     a_seq,
@@ -25,7 +27,12 @@ from syzstab.errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from syzstab.monomial import Monomial, MonomialFamily, monomials_of_degree
+from syzstab.monomial import (
+    Monomial,
+    MonomialFamily,
+    exponent_vectors_of_degree,
+    monomials_of_degree,
+)
 
 # Recurring fixtures.  Member indices in the comments refer to the family's
 # canonical order (degree ascending, exponents descending-lex).
@@ -282,11 +289,65 @@ def test_verify_verdict_rejects_broken_verdicts():
             verify_verdict(fam, verdict)
 
 
-def test_grid_and_closure_paths_agree():
+def test_grid_and_closure_paths_agree(monkeypatch):
     for fam in (STABLE_QUINTIC, UNSTABLE_QUINTIC, QUADRICS_52):
         via_grid = check_efficient(fam)
         via_closure = check_efficient(fam, grid_limit=0)
         assert via_grid == via_closure
+
+    # grid_limit counts the cells of the clipped exponent box: 5 * 5 * 5
+    # for the quintic, whose exponents clip to at most d - 1 = 4.
+    closure_calls = []
+    closure_masks = criterion._closure_masks
+
+    def counting(*args):
+        closure_calls.append(args)
+        return closure_masks(*args)
+
+    monkeypatch.setattr(criterion, "_closure_masks", counting)
+    at_box = check_efficient(UNSTABLE_QUINTIC, grid_limit=125)
+    assert not closure_calls
+    below_box = check_efficient(UNSTABLE_QUINTIC, grid_limit=124)
+    assert len(closure_calls) == 1
+    assert at_box == below_box
+
+
+def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
+    """Reference for the lattice scan: count the multiples of every divisor
+    of degree 1..d-1 by comparing it with every member."""
+    n, v = family.n, family.var_count
+    members = np.array([m.exponents for m in family.members], dtype=np.int64)
+    cells = [g for t in range(1, d) for g in exponent_vectors_of_degree(v, t)]
+    cand = np.array(cells, dtype=np.int64).reshape(-1, v)
+    counts = (cand[:, None, :] <= members[None, :, :]).all(axis=2).sum(axis=1)
+    cdeg = cand.sum(axis=1)
+    margins = (d - cdeg) * n + cdeg - d * counts
+    hits = np.flatnonzero((counts >= 2) & (margins <= 0)).tolist()
+    return [
+        (int(cdeg[r]) - d * int(k), int(k) - 1, cells[r], int(k))
+        for r, k in zip(hits, counts[hits])
+    ]
+
+
+@st.composite
+def lattice_families(draw):
+    # Pure powers have exponent d, one past the box, so the clip is used.
+    var_count = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=8))
+    powers = draw(st.sets(st.integers(0, var_count - 1), min_size=1))
+    pool = list(exponent_vectors_of_degree(var_count, d))
+    extras = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+    return MonomialFamily.of({_pure(var_count, i, d) for i in powers} | set(extras))
+
+
+@given(lattice_families())
+@example(MonomialFamily.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+@example(MonomialFamily.of(list(exponent_vectors_of_degree(5, 3))))
+@settings(max_examples=300, deadline=None)
+def test_lattice_scan_matches_broadcast_reference(fam):
+    d = fam.degrees[0]
+    lattice = criterion._grid_candidates(fam, d, criterion._lattice_box(fam, d))
+    assert sorted(lattice) == sorted(_broadcast_candidates(fam, d))
 
 
 def _pure(var_count: int, index: int, exponent: int) -> tuple[int, ...]:
