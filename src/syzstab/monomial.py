@@ -227,11 +227,13 @@ class MonomialFamily:
         """True when the family contains a pure power of every variable,
         i.e. the ideal it generates contains the whole maximal ideal to a
         power and cuts out only the origin."""
-        covered = [False] * self.var_count
-        for m in self.members:
-            if m.is_pure_power:
-                covered[next(i for i, e in enumerate(m.exponents) if e > 0)] = True
-        return all(covered)
+        others = self.var_count - 1
+        covered = {
+            e.index(max(e))
+            for e in (m.exponents for m in self.members)
+            if e.count(0) == others
+        }
+        return len(covered) == self.var_count
 
     def multiples_of(self, g: Monomial) -> tuple[Monomial, ...]:
         """Members divisible by ``g``, in family order."""

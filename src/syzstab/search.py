@@ -14,6 +14,13 @@ so only orbit representatives are checked: a family is checked iff its
 ascending-sorted exponent sequence is lexicographically minimal among all
 (N+1)! axis permutations.  Every enumerated family still counts towards
 ``families_examined`` and the budget; ``orbits_examined`` counts checks.
+
+The test runs on the chosen free indices C alone.  Two sorted sequences of
+distinct elements compare by the smallest element of their symmetric
+difference, and a permutation maps the pure powers to themselves, so they
+never decide it; free monomials are indexed in descending order, so a
+permutation pi gives a smaller sequence exactly when
+M(pi(C)) > M(C), where M(C) = sum of 2^c over c in C.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from .monomial import MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
-#: Largest supported N.  The orbit filter holds all (N+1)! permutations of
-#: the variables; at N = 9 that list alone takes about half a gigabyte.
+#: Largest supported N.  The orbit filter tests a representative against
+#: each of the (N+1)! permutations of the variables, 3,628,800 at N = 9.
 MAX_SEARCH_N = 9
 
 #: Largest supported number C(N+d, N) of degree-d monomials, all of which
@@ -47,6 +54,10 @@ NONE_SEMISTABLE = "none-semistable"
 #: Status value of each rank; a result is a (rank, sorted exponents) pair,
 #: with exponents None at rank 0.
 _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
+
+#: Most cells (permutations times free monomials) of orbit-filter rows that
+#: one partition scan keeps; rows past them are recomputed for each family.
+_ROW_CELLS = 1 << 16
 
 #: Resume token fields, in the order they are written.
 _TOKEN_KEYS = (
@@ -90,20 +101,41 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
     return [v for v in exponent_vectors_of_degree(N + 1, d) if d not in v]
 
 
-def _sorted_exps(exps) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(exps))
+def _orbit_rows(N: int, free: list[tuple[int, ...]]):
+    """Return ``rows(chosen)``, which yields for every non-identity axis
+    permutation pi, in ``permutations`` order, a row mapping each free index
+    c to ``1 << (index of pi(free[c]))``.  The first ``_ROW_CELLS`` cells
+    are computed once and shared by every call; later rows are computed per
+    call, and only at the indices in ``chosen``."""
+    bit = {v: 1 << i for i, v in enumerate(free)}
+    perms = permutations(range(N + 1))
+    next(perms)  # the identity
+    keep = _ROW_CELLS // max(len(free), 1)
+    kept: list[list[int]] = []
+
+    def rows(chosen: tuple[int, ...]):
+        yield from kept
+        while len(kept) < keep:
+            perm = next(perms, None)
+            if perm is None:
+                return
+            kept.append([bit[tuple(e[i] for i in perm)] for e in free])
+            yield kept[-1]
+        for perm in islice(permutations(range(N + 1)), keep + 1, None):
+            yield {c: bit[tuple(free[c][i] for i in perm)] for c in chosen}
+
+    return rows
 
 
-def _is_orbit_representative(
-    family_exps: tuple[tuple[int, ...], ...], perms: list[tuple[int, ...]]
-) -> bool:
-    """True iff no axis permutation produces a lexicographically smaller
-    ascending-sorted exponent sequence."""
-    for perm in perms:
-        permuted = _sorted_exps(tuple(e[i] for i in perm) for e in family_exps)
-        if permuted < family_exps:
-            return False
-    return True
+def _is_representative(chosen: tuple[int, ...], rows) -> bool:
+    """True iff no axis permutation maps the chosen free indices C to a
+    larger M(C): with C empty there is nothing to permute."""
+    if not chosen:
+        return True
+    mask = sum(1 << c for c in chosen)
+    return not any(
+        sum(map(row.__getitem__, chosen)) > mask for row in rows(chosen)
+    )
 
 
 def _partitions(free_count: int, k: int) -> list[tuple[int, int]]:
@@ -132,7 +164,7 @@ def _scan_partition(job: tuple[int, ...]) -> tuple[int, int, tuple]:
     N, d, n, partition, skip, limit = job
     free = _free_monomials(N, d)
     pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
-    perms = list(permutations(range(N + 1)))
+    rows = _orbit_rows(N, free)
     k = n - (N + 1)
     if k == 0:
         tails = iter([()])
@@ -144,10 +176,10 @@ def _scan_partition(job: tuple[int, ...]) -> tuple[int, int, tuple]:
     for tail in islice(tails, skip, skip + limit):
         families += 1
         chosen = (partition, *tail) if k else ()
-        exps = _sorted_exps(pure + [free[c] for c in chosen])
-        if not _is_orbit_representative(exps, perms):
+        if not _is_representative(chosen, rows):
             continue
         orbits += 1
+        exps = tuple(sorted(pure + [free[c] for c in chosen]))
         status = check_efficient(MonomialFamily.of(exps)).status.value
         if status in _RANKED:
             best = _better(best, (_RANKED.index(status), exps))
@@ -243,7 +275,7 @@ def exhaustive_search(
     if N > MAX_SEARCH_N:
         raise UnsupportedRangeError(
             f"search supports N <= {MAX_SEARCH_N}, got N={N}: the orbit filter "
-            f"holds all (N+1)! variable permutations"
+            f"tests each representative against all (N+1)! variable permutations"
         )
     if comb(N + d, N) > MAX_SEARCH_MONOMIALS:
         raise UnsupportedRangeError(

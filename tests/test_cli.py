@@ -225,13 +225,12 @@ def test_search_malformed_resume_token_exits_one(capsys):
     assert proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("triple", [("40", "2", "42"), ("2", "2000000", "5")])
-def test_search_beyond_caps_exits_one(triple):
-    # Without the caps, set-up lists all (N+1)! permutations or all
-    # C(N+d, N) monomials before the budget applies.  A child process with a
-    # timeout and a memory limit turns such a hang into a failure.
+def run_search_limited(triple):
+    """Run ``search N d n --budget 1`` in a child process with a 30 s
+    timeout and a 512 MB address-space limit, so that a set-up that hangs
+    or exhausts memory fails the test instead of the machine."""
     limit = 512 * 2**20
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "syzstab.cli", "search", *triple, "--budget", "1"],
         capture_output=True,
         text=True,
@@ -239,8 +238,27 @@ def test_search_beyond_caps_exits_one(triple):
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+@pytest.mark.parametrize("triple", [("40", "2", "42"), ("2", "2000000", "5")])
+def test_search_beyond_caps_exits_one(triple):
+    # Without the caps, the first family waits on a list of all C(N+d, N)
+    # monomials or on a walk through up to (N+1)! permutations.
+    proc = run_search_limited(triple)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: search supports ")
+
+
+@pytest.mark.parametrize("triple", [("9", "2", "10"), ("9", "2", "11")])
+def test_search_at_largest_n_stays_bounded(triple):
+    # N = 9 has 10! variable permutations.  The orbit filter keeps a bounded
+    # number of them and stops at the first that rejects a family, so one
+    # budgeted family at N = 9 needs neither the whole list nor its memory.
+    proc = run_search_limited(triple)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["event"] == "result"
+    assert result["families_examined"] == 1
 
 
 def test_search_jobs_env(monkeypatch, capsys):

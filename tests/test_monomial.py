@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzstab.errors import (
@@ -193,3 +193,38 @@ def test_degree_enumeration_is_complete_and_sorted(v, d):
     assert len(set(vecs)) == len(vecs)
     assert all(sum(vec) == d for vec in vecs)
     assert vecs == sorted(vecs, reverse=True)
+
+
+def m_primary_reference(fam):
+    """The per-member definition: a pure power of every variable occurs."""
+    covered = [False] * fam.var_count
+    for m in fam.members:
+        if m.is_pure_power:
+            covered[next(i for i, e in enumerate(m.exponents) if e > 0)] = True
+    return all(covered)
+
+
+@st.composite
+def families_with_powers(draw):
+    """Families with zero, one or two pure powers of each variable, maybe
+    the unit, and a few other members."""
+    v = draw(st.integers(2, 4))
+    members = set()
+    for i in range(v):
+        for e in draw(st.sets(st.integers(1, 4), max_size=2)):
+            members.add(tuple(e if j == i else 0 for j in range(v)))
+    if draw(st.booleans()):
+        members.add((0,) * v)
+    members |= draw(st.sets(st.tuples(*[st.integers(0, 3)] * v), max_size=4))
+    return MonomialFamily.of(sorted(members or {(0,) * v}))
+
+
+@given(families_with_powers())
+@example(MonomialFamily.of([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]))
+@example(MonomialFamily.of([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 1)]))
+@example(MonomialFamily.of([(2, 0, 0), (0, 2, 0), (1, 0, 1)]))
+@example(MonomialFamily.of([(2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 1)]))
+@example(MonomialFamily.of([(2, 0, 0), (3, 0, 0), (0, 0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_m_primary_matches_per_member_definition(fam):
+    assert fam.is_m_primary() == m_primary_reference(fam)

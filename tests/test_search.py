@@ -1,6 +1,10 @@
 import json
+from itertools import permutations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzstab import search
 from syzstab.criterion import Stability, check_efficient
@@ -210,3 +214,64 @@ def test_oversized_request_is_empty():
     assert report.exhausted
     assert report.families_examined == 0
     assert report.best_status == NONE_SEMISTABLE
+
+
+def sorted_sequence_is_minimal(family_exps, perms):
+    """The orbit filter's definition, as first implemented: no axis
+    permutation gives a lexicographically smaller ascending-sorted exponent
+    sequence."""
+    for perm in perms:
+        permuted = tuple(sorted(tuple(e[i] for i in perm) for e in family_exps))
+        if permuted < family_exps:
+            return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bitmask_filter_matches_sorted_sequence_definition(data):
+    N = data.draw(st.integers(1, 4), label="N")
+    d = data.draw(st.integers(1, 4), label="d")
+    free = search._free_monomials(N, d)
+    index = {v: i for i, v in enumerate(free)}
+    pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
+    perms = list(permutations(range(N + 1)))
+    # A cap of a few cells sends most rows down the recomputed path.
+    cells = data.draw(st.sampled_from([search._ROW_CELLS, 1, 3 * len(free)]))
+    with patch.object(search, "_ROW_CELLS", cells):
+        # Several families share one set of rows, as in a partition scan.
+        rows = search._orbit_rows(N, free)
+        for _ in range(data.draw(st.integers(1, 4))):
+            chosen = set()
+            if free:
+                chosen = data.draw(st.sets(st.sampled_from(range(len(free)))))
+            if chosen and data.draw(st.booleans()):
+                # Close the set under one permutation, which then maps the
+                # family to itself.
+                perm = data.draw(st.permutations(range(N + 1)))
+                while True:
+                    grown = chosen | {
+                        index[tuple(free[c][i] for i in perm)] for c in chosen
+                    }
+                    if grown == chosen:
+                        break
+                    chosen = grown
+            chosen = tuple(sorted(chosen))
+            exps = tuple(sorted(pure + [free[c] for c in chosen]))
+            assert search._is_representative(chosen, rows) == (
+                sorted_sequence_is_minimal(exps, perms)
+            )
+
+
+@pytest.mark.parametrize("triple", [(3, 3, 14), (3, 3, 17), (4, 2, 10), (4, 2, 12)])
+def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
+    def run():
+        records = []
+        report = exhaustive_search(*triple, progress=records.append)
+        return json.dumps([report.to_json_dict(), records])
+
+    kept = run()
+    # With 40 cells the scans keep 2 (N = 3) or 4 (N = 4) rows and
+    # recompute the other 21 or 115 for each family that reaches them.
+    monkeypatch.setattr(search, "_ROW_CELLS", 40)
+    assert run() == kept
