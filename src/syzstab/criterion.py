@@ -17,7 +17,9 @@ subset.  Its candidates come from one of two scans.  For an equal-degree-d
 family, a dominance-count lattice scan counts the multiples of every cell
 of an exponent box (exponents clipped to d-1) by reversed cumulative sums
 along each axis.  The scan is taken when the box has at most
-``grid_limit`` cells.  Every other family uses the gcd closure.
+``grid_limit`` cells.  Every other family uses the gcd closure.  The
+lattice scan is the only user of numpy and imports it on its first call,
+so the closure, the oracle and importing this module never load it.
 
 Both report the same witness for a verdict that is not stable: the subset
 with the largest quotient, ties going to the lexicographically smallest
@@ -31,8 +33,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import prod
-
-import numpy as np
 
 from .errors import (
     CapacityError,
@@ -380,6 +380,8 @@ def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
     sums along every axis, so each cell holds #{members >= g}.  A cell of
     degree d or more divides at most one member, so k >= 2 bounds the
     degree from above."""
+    import numpy as np
+
     n = family.n
     members = np.minimum(
         np.array([m.exponents for m in family.members], dtype=np.int64), d - 1

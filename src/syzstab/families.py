@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InvalidFamilyError, UnsupportedRangeError
-from .monomial import MAX_DEGREE, Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import (
+    MAX_DEGREE,
+    MAX_FAMILY_CELLS,
+    Monomial,
+    MonomialFamily,
+    exponent_vectors_of_degree,
+)
 
 #: Catalog constructions cover family sizes 3..18 in the plane.
 CATALOG_MAX_SIZE = 18
@@ -396,17 +402,23 @@ def generate_full_set(N: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
 
 # -- dispatchers --------------------------------------------------------
 
-def _check_degree(d: int) -> None:
-    """Reject a degree no member can have, before any member is built."""
+def _check_request(var_count: int, n: int, d: int) -> None:
+    """Reject a degree no member can have, or more than ``MAX_FAMILY_CELLS``
+    member cells, before any member is built."""
     if not 1 <= d <= MAX_DEGREE:
         raise UnsupportedRangeError(
             f"degree must be between 1 and {MAX_DEGREE}, got {d}"
+        )
+    if var_count * n > MAX_FAMILY_CELLS:
+        raise UnsupportedRangeError(
+            f"family too large: {n} members x {var_count} variables exceeds "
+            f"the limit of {MAX_FAMILY_CELLS} member cells"
         )
 
 
 def generate_P2(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """Plane dispatcher: pick the construction for 3 <= n <= (d+2)(d+1)/2."""
-    _check_degree(d)
+    _check_request(3, n, d)
     full = comb(d + 2, 2)
     if not 3 <= n <= full:
         raise UnsupportedRangeError(
@@ -423,44 +435,55 @@ def generate_P2(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     return generate_P34(n, d)
 
 
+def _direct(N: int, n: int, d: int):
+    """The (family, recipe) of the construction that covers (N, n, d)
+    without induction, or None when there is none."""
+    if N == 2:
+        return generate_P2(n, d)
+    if (N, n, d) == (3, 5, 2):
+        members = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+                   (1, 1, 0, 0)]
+        return _validated(members, 4, n, d), FamilyRecipe(N, n, d, "Special352")
+    if n == N + 1:
+        return generate_pure_powers(N, d)
+    if n == comb(d + N, N):
+        return generate_full_set(N, d)
+    return None
+
+
 def generate(N: int, n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """Construct a size-n degree-d family in N+1 variables whose syzygy
     bundle is stable (semistable only for the plane (n, d) = (5, 2) case).
 
     Supported sizes: N+1 <= n <= (d+2)(d+1)/2 + N - 2, plus the full set of
     all degree-d monomials.  Sizes in between those two bounds have no known
-    construction here and raise ``UnsupportedRangeError``.
+    construction here and raise ``UnsupportedRangeError``.  Families of
+    more than ``MAX_FAMILY_CELLS`` members times variables are refused too.
     """
     if N < 2:
         raise UnsupportedRangeError(
             f"constructions need at least 3 variables (N >= 2), got N={N}"
         )
-    _check_degree(d)
-    if N == 2:
-        return generate_P2(n, d)
+    _check_request(N + 1, n, d)
     full = comb(d + N, N)
     upper = comb(d + 2, 2) + N - 2
-    if (N, n, d) == (3, 5, 2):
-        members = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
-                   (1, 1, 0, 0)]
-        return (
-            _validated(members, 4, n, d),
-            FamilyRecipe(N, n, d, "Special352"),
+    if N > 2 and not (N + 1 <= n <= upper or n == full):
+        raise UnsupportedRangeError(
+            f"no construction for N={N}, n={n}, d={d}: supported sizes are "
+            f"{N + 1} <= n <= {upper}, or n = {full} (all degree-{d} monomials); "
+            f"the range {upper} < n < {full} is an open gap"
         )
-    if n == N + 1:
-        return generate_pure_powers(N, d)
-    if n == full:
-        return generate_full_set(N, d)
-    if N + 1 <= n <= upper:
-        base, _ = generate(N - 1, n - 1, d)
-        members = [m.exponents + (0,) for m in base.members]
-        members.append(Monomial.pure_power(N + 1, N, d).exponents)
-        return (
-            _validated(members, N + 1, n, d),
-            FamilyRecipe(N, n, d, "Induction", {"base_N": N - 1, "base_n": n - 1}),
-        )
-    raise UnsupportedRangeError(
-        f"no construction for N={N}, n={n}, d={d}: supported sizes are "
-        f"{N + 1} <= n <= {upper}, or n = {full} (all degree-{d} monomials); "
-        f"the range {upper} < n < {full} is an open gap"
+    # Induction: drop the last k variables and their pure powers until a
+    # construction of its own applies, which it does by N - k = 2 at the
+    # latest; then add them back, with one validation of the whole family.
+    k = 0
+    while (built := _direct(N - k, n - k, d)) is None:
+        k += 1
+    if k == 0:
+        return built
+    members = [m.exponents + (0,) * k for m in built[0].members]
+    members += [(0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1)]
+    return (
+        _validated(members, N + 1, n, d),
+        FamilyRecipe(N, n, d, "Induction", {"base_N": N - 1, "base_n": n - 1}),
     )

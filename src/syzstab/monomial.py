@@ -23,6 +23,11 @@ from .errors import (
 # integer arithmetic, which stays cheap only for sane exponents.
 MAX_DEGREE = 10**6
 
+#: Largest number of member cells, members times variables, of a parsed or
+#: generated family; checked before any member is built, so a huge variable
+#: index or ``vars=`` header is an input error and not an allocation.
+MAX_FAMILY_CELLS = 10**6
+
 _TOKEN_RE = re.compile(r"^[xX](\d+)(?:\^(\d+))?$")
 
 
@@ -235,10 +240,6 @@ class MonomialFamily:
         }
         return len(covered) == self.var_count
 
-    def multiples_of(self, g: Monomial) -> tuple[Monomial, ...]:
-        """Members divisible by ``g``, in family order."""
-        return tuple(m for m in self.members if g.divides(m))
-
     def indices_of_multiples(self, g: Monomial) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.members) if g.divides(m))
 
@@ -291,6 +292,11 @@ class MonomialFamily:
                 if not indices:
                     raise FamilyFormatError("cannot infer variable count")
                 var_count = max(2, max(indices) + 1)
+        if len(raw) * var_count > MAX_FAMILY_CELLS:
+            raise FamilyFormatError(
+                f"family too large: {len(raw)} members x {var_count} variables "
+                f"exceeds the limit of {MAX_FAMILY_CELLS} member cells"
+            )
         members = []
         for lineno, kind, payload in raw:
             try:

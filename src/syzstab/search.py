@@ -21,13 +21,15 @@ difference, and a permutation maps the pure powers to themselves, so they
 never decide it; free monomials are indexed in descending order, so a
 permutation pi gives a smaller sequence exactly when
 M(pi(C)) > M(C), where M(C) = sum of 2^c over c in C.
+
+``ProcessPoolExecutor`` is imported only when a search runs on more than
+one worker, so a serial search never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
@@ -55,9 +57,10 @@ NONE_SEMISTABLE = "none-semistable"
 #: with exponents None at rank 0.
 _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 
-#: Most cells (permutations times free monomials) of orbit-filter rows that
-#: one partition scan keeps; rows past them are recomputed for each family.
-_ROW_CELLS = 1 << 16
+#: Most bits of orbit-filter rows that one partition scan keeps, counted as
+#: F^2 per row of F free monomials; rows past them are recomputed for each
+#: family, at its chosen indices only.
+_ROW_BITS = 1 << 22
 
 #: Resume token fields, in the order they are written.
 _TOKEN_KEYS = (
@@ -104,13 +107,13 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
 def _orbit_rows(N: int, free: list[tuple[int, ...]]):
     """Return ``rows(chosen)``, which yields for every non-identity axis
     permutation pi, in ``permutations`` order, a row mapping each free index
-    c to ``1 << (index of pi(free[c]))``.  The first ``_ROW_CELLS`` cells
-    are computed once and shared by every call; later rows are computed per
-    call, and only at the indices in ``chosen``."""
-    bit = {v: 1 << i for i, v in enumerate(free)}
+    c to ``1 << (index of pi(free[c]))``.  The first rows, up to
+    ``_ROW_BITS`` bits, are computed once and shared by every call; later
+    rows are computed per call, and only at the indices in ``chosen``."""
+    index = {v: i for i, v in enumerate(free)}
     perms = permutations(range(N + 1))
     next(perms)  # the identity
-    keep = _ROW_CELLS // max(len(free), 1)
+    keep = _ROW_BITS // max(len(free), 1) ** 2
     kept: list[list[int]] = []
 
     def rows(chosen: tuple[int, ...]):
@@ -119,10 +122,10 @@ def _orbit_rows(N: int, free: list[tuple[int, ...]]):
             perm = next(perms, None)
             if perm is None:
                 return
-            kept.append([bit[tuple(e[i] for i in perm)] for e in free])
+            kept.append([1 << index[tuple(e[i] for i in perm)] for e in free])
             yield kept[-1]
         for perm in islice(permutations(range(N + 1)), keep + 1, None):
-            yield {c: bit[tuple(free[c][i] for i in perm)] for c in chosen}
+            yield {c: 1 << index[tuple(free[c][i] for i in perm)] for c in chosen}
 
     return rows
 
@@ -312,8 +315,13 @@ def exhaustive_search(
             break
 
     workers = min(jobs or 1, len(plan), os.cpu_count() or 1)
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        scan = pool.map if pool else map
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
+    with pool as executor:
+        scan = executor.map if executor else map
         for job, (fams, orbs, found) in zip(plan, scan(_scan_partition, plan)):
             families += fams
             orbits += orbs

