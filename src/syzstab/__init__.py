@@ -8,7 +8,6 @@ from .criterion import (
     a_seq,
     check_brute_force,
     check_efficient,
-    check_mixed_degrees,
     equal_degree_margin,
     family_slope,
     gcd_closure,
@@ -43,7 +42,6 @@ from .monomial import (
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
-    monomials_of_degree,
 )
 from .search import SearchReport, exhaustive_search
 
@@ -69,7 +67,6 @@ __all__ = [
     "a_seq",
     "check_brute_force",
     "check_efficient",
-    "check_mixed_degrees",
     "chern_and_slope",
     "cohomology_table",
     "equal_degree_margin",
@@ -86,7 +83,6 @@ __all__ = [
     "generate_full_set",
     "generate_pure_powers",
     "moduli_dimension",
-    "monomials_of_degree",
     "subset_quotient",
     "verify_verdict",
     "__version__",

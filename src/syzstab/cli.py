@@ -22,7 +22,6 @@ from .criterion import (
     SubsetWitness,
     check_brute_force,
     check_efficient,
-    check_mixed_degrees,
 )
 from .errors import Error, FamilyFormatError, InvalidFamilyError, MismatchedVariablesError
 from .families import generate
@@ -162,7 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.brute:
         verdict = check_brute_force(family)
     elif args.mixed:
-        verdict = check_mixed_degrees(family)
+        verdict = check_efficient(family, grid_limit=0)
     else:
         verdict = check_efficient(family)
     if verdict.criterion_value_only:

@@ -17,7 +17,10 @@ subset.  Its candidates come from one of two scans.  For an equal-degree-d
 family, a dominance-count lattice scan counts the multiples of every cell
 of an exponent box (exponents clipped to d-1) by reversed cumulative sums
 along each axis.  The scan is taken when the box has at most
-``grid_limit`` cells.  Every other family uses the gcd closure.  The
+``grid_limit`` cells; ``grid_limit=0`` forces the closure, which every
+other family uses.  The oracle visits at most ``BRUTE_BUDGET`` subsets and
+the closure holds at most ``CLOSURE_LIMIT`` gcds; both raise
+``CapacityError`` beyond, and both limits are read at call time.  The
 lattice scan is the only user of numpy and imports it on its first call,
 so the closure, the oracle and importing this module never load it.
 
@@ -42,9 +45,9 @@ from .errors import (
 )
 from .monomial import Monomial, MonomialFamily
 
-DEFAULT_BRUTE_BUDGET = 2**24
+BRUTE_BUDGET = 2**24
 DEFAULT_GRID_LIMIT = 500_000
-DEFAULT_CLOSURE_LIMIT = 10**6
+CLOSURE_LIMIT = 10**6
 
 
 class Stability(Enum):
@@ -177,7 +180,9 @@ def a_seq(d: int, j: int) -> Fraction:
     return Fraction(-j * d, j - 1)
 
 
-def _validate_for_check(family: MonomialFamily) -> None:
+def _validate_for_check(family: MonomialFamily) -> Fraction:
+    """The family slope, once the family has two members and no common
+    factor."""
     if family.n < 2:
         raise InvalidFamilyError("stability needs at least two members")
     g = family.overall_gcd()
@@ -186,6 +191,7 @@ def _validate_for_check(family: MonomialFamily) -> None:
             f"members share the common factor {g}; divide it out and "
             "re-check the quotient family"
         )
+    return Fraction(g.degree - family.degree_sum, family.n - 1)
 
 
 def _verdict(
@@ -266,22 +272,19 @@ def verify_verdict(family: MonomialFamily, verdict: StabilityVerdict) -> None:
         )
 
 
-def check_brute_force(
-    family: MonomialFamily, *, budget: int = DEFAULT_BRUTE_BUDGET
-) -> StabilityVerdict:
+def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     """Decide stability by evaluating every proper subset of size >= 2.
 
     The maximizing subset (ties broken by lexicographically smallest index
     tuple) becomes the witness when the verdict is not stable.
     """
-    _validate_for_check(family)
+    slope = _validate_for_check(family)
     n = family.n
-    if 2**n > budget:
+    if 2**n > BRUTE_BUDGET:
         raise CapacityError(
             f"brute force over {n} members would visit 2^{n} subsets, "
-            f"beyond the budget {budget}; use check_efficient instead"
+            f"beyond the budget {BRUTE_BUDGET}; use check_efficient instead"
         )
-    slope = family_slope(family)
     members = family.members
 
     best_q: Fraction | None = None
@@ -308,9 +311,7 @@ def check_brute_force(
     return _verdict(family, slope, best_q, best_idx, best_gcd)
 
 
-def _closure_masks(
-    family: MonomialFamily, max_size: int
-) -> dict[tuple[int, ...], int]:
+def _closure_masks(family: MonomialFamily) -> dict[tuple[int, ...], int]:
     """Every gcd of a nonempty subset of members, as an exponent tuple
     mapped to the bitmask of the members it divides.
 
@@ -326,32 +327,28 @@ def _closure_masks(
         updates.append((e, 0))
         for g, mask in updates:
             closure[g] = closure.get(g, 0) | mask | bit
-            if len(closure) > max_size:
-                raise CapacityError(f"gcd closure exceeded {max_size} elements")
+            if len(closure) > CLOSURE_LIMIT:
+                raise CapacityError(f"gcd closure exceeded {CLOSURE_LIMIT} elements")
     return closure
 
 
-def gcd_closure(
-    family: MonomialFamily, *, max_size: int = DEFAULT_CLOSURE_LIMIT
-) -> tuple[Monomial, ...]:
+def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     """All gcds of nonempty subsets of the family, in canonical order.
 
     Includes the members themselves and, whenever the family has no common
-    factor, the unit.  Raises ``CapacityError`` beyond ``max_size``
+    factor, the unit.  Raises ``CapacityError`` beyond ``CLOSURE_LIMIT``
     elements.
     """
-    return tuple(
-        sorted(map(Monomial, _closure_masks(family, max_size)), key=Monomial.canon_key)
-    )
+    return tuple(sorted(map(Monomial, _closure_masks(family)), key=Monomial.canon_key))
 
 
-def _closure_candidates(family: MonomialFamily, slope: Fraction, closure_limit: int):
+def _closure_candidates(family: MonomialFamily, slope: Fraction):
     """For every gcd-closure element g and size k, the k-prefix of g's
     multiples in canonical order, as (numerator, denominator, g, k) of the
     quotient bound (deg g - degree sum) / (k - 1); only bounds at or above
     the slope."""
     degs, top = family.degrees, family.n - 1
-    for g, mask in _closure_masks(family, closure_limit).items():
+    for g, mask in _closure_masks(family).items():
         base, total, k = sum(g), 0, 0
         while mask and k < top:
             low = mask & -mask
@@ -401,10 +398,7 @@ def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
 
 
 def check_efficient(
-    family: MonomialFamily,
-    *,
-    grid_limit: int = DEFAULT_GRID_LIMIT,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
+    family: MonomialFamily, *, grid_limit: int = DEFAULT_GRID_LIMIT
 ) -> StabilityVerdict:
     """Decide stability by scanning candidate gcds instead of subsets.
 
@@ -420,14 +414,13 @@ def check_efficient(
     grows with k; all others from the gcd closure.  ``grid_limit=0``
     forces the closure.  Verdicts equal ``check_brute_force``'s.
     """
-    _validate_for_check(family)
-    slope = family_slope(family)
+    slope = _validate_for_check(family)
     d = family.degrees[0]
     box = family.is_equal_degree and _lattice_box(family, d)
     if box and prod(box) <= grid_limit:
         candidates = _grid_candidates(family, d, box)
     else:
-        candidates = _closure_candidates(family, slope, closure_limit)
+        candidates = _closure_candidates(family, slope)
     best_num, best_den, best = 0, 1, []
     for num, den, g, k in candidates:
         cross = num * best_den - best_num * den
@@ -442,9 +435,3 @@ def check_efficient(
     )
     return _verdict(family, slope, Fraction(best_num, best_den), indices, Monomial(g))
 
-
-def check_mixed_degrees(
-    family: MonomialFamily, *, closure_limit: int = DEFAULT_CLOSURE_LIMIT
-) -> StabilityVerdict:
-    """``check_efficient`` forced onto the gcd-closure scan."""
-    return check_efficient(family, grid_limit=0, closure_limit=closure_limit)

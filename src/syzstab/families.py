@@ -236,9 +236,7 @@ def generate_P32(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     j = 3
     while comb(j + 4, 2) <= n:
         j += 1
-    core_size = comb(j + 3, 2)
-    r = n - core_size
-    assert 0 <= r <= j + 2, f"level count j={j} does not fit n={n}"
+    r = n - comb(j + 3, 2)
     levels, m, t = _level_cuts(d, j + 1, j)
     e = -(-m // 2)
     i = (0,) + levels  # i[l] is cut l, with i[0] = 0
@@ -253,7 +251,6 @@ def generate_P32(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     for h in range(j, 0, -1):
         core.append((0, i[h], d - i[h]))
     core.append((0, 0, d))
-    assert len(core) == core_size
 
     q = -(-(j - 1) // 3)
     aux: list[tuple[int, ...]] = []
@@ -262,7 +259,6 @@ def generate_P32(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         aux.append((a, d - a, 0))
         aux.append((b, 0, d - b))
         aux.append((0, a, d - a))
-    assert len(aux) >= r
 
     params = {"j": j, "r": r, "m": m, "t": t, "e": e, "levels": levels}
     return (
@@ -312,7 +308,6 @@ def generate_P33(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         + [(0, d - 1, 1), (d - 1, 0, 1)]
         + [(0, b, d - b) for b in range(1, d - 1)]
     )
-    assert 1 <= i <= len(tail)
     chosen = tail[:i]
     if i == d - 1:
         # Swap out X1^(d-1) X2: it would give X1^(d-1) a third multiple
@@ -352,8 +347,11 @@ def generate_P34(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         for j in range(1, (d + 2) // 3)
         if full - _comb2(d + 2 - 3 * j) < n <= full - _comb2(d - 3 * j - 1)
     ]
-    assert len(matches) == 1, f"threshold for n={n}, d={d} not unique: {matches}"
-    j = matches[0]
+    if len(matches) != 1:
+        raise InvalidFamilyError(
+            f"threshold for n={n}, d={d} not unique: {matches}"
+        )
+    (j,) = matches
     lo = full - _comb2(d + 2 - 3 * j)
     c1 = full - _comb2(d + 1 - 3 * j)
     c2 = full - _comb2(d - 3 * j)
@@ -367,13 +365,11 @@ def generate_P34(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         keep = lambda v: v[0] < j or v[1] < j or v[2] <= j
         row = [(j + u, j, d - 2 * j - u) for u in range(d - 3 * j)]
     else:
-        assert d > 3 * j + 1, "third sub-case needs room above the threshold"
         case, i = 3, n - c2
         keep = lambda v: v[0] < j or v[1] <= j or v[2] <= j
         row = [(j, j + u, d - 2 * j - u) for u in range(1, d - 3 * j)]
 
     corners = [v for v in exponent_vectors_of_degree(3, d) if keep(v)]
-    assert 1 <= i <= len(row)
     return (
         _validated(corners + row[:i], 3, n, d),
         FamilyRecipe(2, n, d, f"P34-case{case}", {"j": j, "i": i}),

@@ -100,16 +100,9 @@ class Monomial:
     @classmethod
     def parse(cls, text: str, var_count: int | None = None) -> Monomial:
         """Parse a single monomial, either compact (``x0^5 x2^3``) or as a
-        bare exponent vector (``5 0 3``)."""
-        kind, payload = _parse_member_line(text)
-        if var_count is None:
-            if kind == "unit":
-                raise FamilyFormatError("cannot infer variable count from '1'")
-            if kind == "vector":
-                var_count = len(payload)
-            else:
-                var_count = max(2, max(i for i, _ in payload) + 1)
-        return _to_monomial(kind, payload, var_count)
+        bare exponent vector (``5 0 3``), as the one member line of a family:
+        the variable count is inferred and capped as in ``from_text``."""
+        return _build_members([(1, *_parse_member_line(text))], var_count)[0]
 
     def __str__(self) -> str:
         if self.is_unit:
@@ -141,6 +134,40 @@ def _parse_member_line(line: str):
         exponent = 1 if m.group(2) is None else int(m.group(2))
         pairs.append((index, exponent))
     return "compact", pairs
+
+
+def _build_members(raw: list, var_count: int | None) -> tuple[Monomial, ...]:
+    """Build classified member lines, ``(lineno, kind, payload)``, over
+    ``var_count`` variables, or over the count the lines imply when it is
+    None.  Refuses more than ``MAX_FAMILY_CELLS`` member cells before any
+    member is built."""
+    if var_count is None:
+        vector_lens = {len(p) for _, kind, p in raw if kind == "vector"}
+        if len(vector_lens) > 1:
+            raise FamilyFormatError(
+                f"inconsistent exponent vector lengths {sorted(vector_lens)}"
+            )
+        if vector_lens:
+            var_count = vector_lens.pop()
+            if var_count < 2:
+                raise FamilyFormatError("exponent vectors need at least 2 entries")
+        else:
+            indices = [i for _, kind, p in raw if kind == "compact" for i, _ in p]
+            if not indices:
+                raise FamilyFormatError("cannot infer variable count")
+            var_count = max(2, max(indices) + 1)
+    if len(raw) * var_count > MAX_FAMILY_CELLS:
+        raise FamilyFormatError(
+            f"family too large: {len(raw)} members x {var_count} variables "
+            f"exceeds the limit of {MAX_FAMILY_CELLS} member cells"
+        )
+    members = []
+    for lineno, kind, payload in raw:
+        try:
+            members.append(_to_monomial(kind, payload, var_count))
+        except FamilyFormatError as err:
+            raise FamilyFormatError(f"line {lineno}: {err}") from None
+    return tuple(members)
 
 
 def _to_monomial(kind: str, payload, var_count: int) -> Monomial:
@@ -275,35 +302,8 @@ class MonomialFamily:
                 raise FamilyFormatError(f"line {lineno}: {err}") from None
         if not raw:
             raise FamilyFormatError("no monomials found")
-        if var_count is None:
-            vector_lens = {len(p) for _, kind, p in raw if kind == "vector"}
-            if len(vector_lens) > 1:
-                raise FamilyFormatError(
-                    f"inconsistent exponent vector lengths {sorted(vector_lens)}"
-                )
-            if vector_lens:
-                var_count = vector_lens.pop()
-                if var_count < 2:
-                    raise FamilyFormatError("exponent vectors need at least 2 entries")
-            else:
-                indices = [
-                    i for _, kind, p in raw if kind == "compact" for i, _ in p
-                ]
-                if not indices:
-                    raise FamilyFormatError("cannot infer variable count")
-                var_count = max(2, max(indices) + 1)
-        if len(raw) * var_count > MAX_FAMILY_CELLS:
-            raise FamilyFormatError(
-                f"family too large: {len(raw)} members x {var_count} variables "
-                f"exceeds the limit of {MAX_FAMILY_CELLS} member cells"
-            )
-        members = []
-        for lineno, kind, payload in raw:
-            try:
-                members.append(_to_monomial(kind, payload, var_count))
-            except FamilyFormatError as err:
-                raise FamilyFormatError(f"line {lineno}: {err}") from None
-        return cls(var_count, tuple(members))
+        members = _build_members(raw, var_count)
+        return cls(members[0].var_count, members)
 
     def to_text(self) -> str:
         lines = [f"vars={self.var_count}"]
@@ -348,8 +348,3 @@ def exponent_vectors_of_degree(
 
     return rec((), degree, var_count)
 
-
-def monomials_of_degree(var_count: int, degree: int) -> Iterator[Monomial]:
-    """All monomials of the given total degree, in canonical order."""
-    for exps in exponent_vectors_of_degree(var_count, degree):
-        yield Monomial(exps)

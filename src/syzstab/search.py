@@ -280,13 +280,15 @@ def exhaustive_search(
             f"search supports N <= {MAX_SEARCH_N}, got N={N}: the orbit filter "
             f"tests each representative against all (N+1)! variable permutations"
         )
-    if comb(N + d, N) > MAX_SEARCH_MONOMIALS:
+    monomials = comb(N + d, N)
+    if monomials > MAX_SEARCH_MONOMIALS:
         raise UnsupportedRangeError(
             f"search supports at most {MAX_SEARCH_MONOMIALS} monomials of "
-            f"degree d, got C(N+d, N) = {comb(N + d, N)} for N={N}, d={d}"
+            f"degree d, got C(N+d, N) = {monomials} for N={N}, d={d}"
         )
 
-    parts = _partitions(len(_free_monomials(N, d)), n - (N + 1))
+    # Every monomial of degree d but the N+1 pure powers is free.
+    parts = _partitions(monomials - (N + 1), n - (N + 1))
     families, orbits, best = 0, 0, (0, None)
     start_partition, start_offset = 0, 0
     if resume_token is not None:

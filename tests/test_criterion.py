@@ -14,7 +14,6 @@ from syzstab.criterion import (
     a_seq,
     check_brute_force,
     check_efficient,
-    check_mixed_degrees,
     equal_degree_margin,
     family_slope,
     gcd_closure,
@@ -31,7 +30,6 @@ from syzstab.monomial import (
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
-    monomials_of_degree,
 )
 
 # Recurring fixtures.  Member indices in the comments refer to the family's
@@ -212,24 +210,44 @@ def test_gcd_closure_is_exactly_the_subset_gcds(members):
     assert gcd_closure(fam) == tuple(sorted(expected, key=Monomial.canon_key))
 
 
-def test_gcd_closure_capacity():
+def test_gcd_closure_capacity(monkeypatch):
+    # Six gcds: the three members, x0, x1 and the unit.
     fam = MonomialFamily.of([(2, 0), (1, 1), (0, 2)])
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 3)
     with pytest.raises(CapacityError):
-        gcd_closure(fam, max_size=3)
+        gcd_closure(fam)
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 5)
+    with pytest.raises(CapacityError):
+        gcd_closure(fam)
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 6)
+    assert len(gcd_closure(fam)) == 6
 
 
-def test_brute_force_capacity():
+def test_brute_force_capacity(monkeypatch):
     # All 25 monomials of degree 24 in two variables: every divisor scan
     # lands exactly on the slope, so the family is semistable only.
     fam = MonomialFamily.of([(i, 24 - i) for i in range(25)])
     with pytest.raises(CapacityError):
         check_brute_force(fam)
     assert check_efficient(fam).status is Stability.SEMISTABLE_ONLY
-
-
-def test_mixed_checker_capacity():
+    # The budget is read at each call.  Four members visit 2^4 subsets.
+    monkeypatch.setattr(criterion, "BRUTE_BUDGET", 2**4 - 1)
     with pytest.raises(CapacityError):
-        check_mixed_degrees(MIXED_SEMI, closure_limit=2)
+        check_brute_force(STABLE_QUINTIC)
+    monkeypatch.setattr(criterion, "BRUTE_BUDGET", 2**4)
+    assert check_brute_force(STABLE_QUINTIC).status is Stability.STABLE
+
+
+def test_mixed_checker_capacity(monkeypatch):
+    # MIXED_SEMI's closure: its three members, x0, x1^2 and the unit.
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 2)
+    with pytest.raises(CapacityError):
+        check_efficient(MIXED_SEMI, grid_limit=0)
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 5)
+    with pytest.raises(CapacityError):
+        check_efficient(MIXED_SEMI)
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 6)
+    assert check_efficient(MIXED_SEMI, grid_limit=0) == check_brute_force(MIXED_SEMI)
 
 
 @pytest.mark.parametrize("check", [check_brute_force, check_efficient])
@@ -362,11 +380,7 @@ def equal_degree_families(draw):
     var_count = draw(st.integers(min_value=2, max_value=3))
     d = draw(st.integers(min_value=1, max_value=5))
     seeds = {_pure(var_count, 0, d), _pure(var_count, 1, d)}
-    pool = [
-        m.exponents
-        for m in monomials_of_degree(var_count, d)
-        if m.exponents not in seeds
-    ]
+    pool = [v for v in exponent_vectors_of_degree(var_count, d) if v not in seeds]
     extras = draw(
         st.lists(
             st.sampled_from(pool) if pool else st.nothing(),

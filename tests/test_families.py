@@ -1,7 +1,11 @@
+import ast
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import syzstab
+from syzstab import families
 from syzstab.cli import render_triangle
 from syzstab.criterion import Stability, check_brute_force, check_efficient
 from syzstab.errors import InvalidFamilyError, UnsupportedRangeError
@@ -317,6 +321,24 @@ def test_post_validation_raises_without_asserts():
         _validated(cubics, 3, 5, 3)
     with pytest.raises(InvalidFamilyError, match="degree"):
         _validated(cubics + [(2, 0, 0)], 3, 5, 3)
+
+
+def test_corner_fill_without_a_threshold_raises(monkeypatch):
+    # With every threshold interval empty, no j matches n; that must be a
+    # family error, not an IndexError or a stripped assert.
+    monkeypatch.setattr(families, "_comb2", lambda x: 0)
+    with pytest.raises(InvalidFamilyError, match="not unique"):
+        generate_P34(28, 9)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no check in the package may be one.
+    sources = sorted(Path(syzstab.__file__).parent.rglob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts at lines {lines}"
 
 
 # --- dispatchers ---------------------------------------------------------

@@ -1,9 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import syzstab
 from syzstab.errors import (
     DuplicateMemberError,
     FamilyFormatError,
@@ -14,7 +21,6 @@ from syzstab.monomial import (
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
-    monomials_of_degree,
 )
 
 
@@ -62,6 +68,45 @@ def test_parse_and_str_forms():
         Monomial.parse("y^2", var_count=3)
     with pytest.raises(FamilyFormatError):
         Monomial.parse("x0^2000000 x1")  # degree over the cap
+    # Without var_count, parse infers it as from_text does for one line.
+    for text in ("x0^5 x2^3", "x1", "5 0 3", "0 0"):
+        (member,) = MonomialFamily.from_text(text).members
+        assert Monomial.parse(text) == member
+    for text in ("1", "5", "x0 y"):
+        with pytest.raises(FamilyFormatError):
+            MonomialFamily.from_text(text)
+        with pytest.raises(FamilyFormatError):
+            Monomial.parse(text)
+
+
+# Parses a huge inferred and a huge pinned variable count in a child
+# process with a 512 MB address-space limit and reports how each was refused.
+PARSE_PROBE = """
+from syzstab.errors import FamilyFormatError
+from syzstab.monomial import Monomial
+for text, var_count in (("x99999999", None), ("x0", 10**8)):
+    try:
+        Monomial.parse(text, var_count)
+    except FamilyFormatError as err:
+        print("refused:", err)
+"""
+
+
+def test_parse_refuses_huge_variable_counts_before_allocating():
+    # Without the member-cell cap each would build [0] * 10**8, about 800 MB.
+    limit = 512 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSE_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(syzstab.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(line.startswith("refused: family too large: ") for line in lines)
 
 
 def test_family_sorts_canonically():
@@ -166,7 +211,12 @@ def test_exponent_vectors_of_degree():
         (0, 0, 2),
     ]
     assert len(list(exponent_vectors_of_degree(4, 3))) == 20
-    assert [m.exponents for m in monomials_of_degree(3, 2)] == vecs
+    for var_count in (2, 3, 4):
+        for degree in range(5):
+            monos = list(map(Monomial, exponent_vectors_of_degree(var_count, degree)))
+            assert monos == sorted(set(monos), key=Monomial.canon_key)
+            assert {m.degree for m in monos} == {degree}
+            assert len(monos) == comb(var_count - 1 + degree, degree)
 
 
 @st.composite
