@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 
+from syzstab import criterion
 from syzstab.criterion import (
     Stability,
     check_brute_force,
@@ -58,11 +59,14 @@ def main() -> int:
     rng = random.Random(args.seed)
 
     counts = {status: 0 for status in Stability}
+    grid_limit = criterion.GRID_LIMIT
     for index in range(args.samples):
         family = random_family(rng, args)
         slow = check_brute_force(family)
         fast = check_efficient(family)
-        closure = check_efficient(family, grid_limit=0)
+        criterion.GRID_LIMIT = 0  # no lattice scan: force the closure
+        closure = check_efficient(family)
+        criterion.GRID_LIMIT = grid_limit
         if not slow == fast == closure:
             print(
                 f"MISMATCH at sample {index}:\n  brute:   {slow}\n"

@@ -49,6 +49,14 @@ def main() -> int:
     parser.add_argument("--d-max", type=int, default=8)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    for bad, message in (
+        (min(args.dims) < 2, "--dims must all be at least 2"),
+        (args.d_min < 1, "--d-min must be at least 1"),
+        (args.d_max < args.d_min, "--d-max must be at least --d-min"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 1
 
     cells = [
         (N, d) for N in args.dims for d in range(args.d_min, args.d_max + 1)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Optional
 
 from .criterion import (
@@ -48,25 +47,13 @@ _EXIT_BY_STATUS = {
 
 # -- triangle rendering -------------------------------------------------
 
-@dataclass(frozen=True)
-class RenderedTriangle:
-    """ASCII diagram of a degree-d plane family.
+def render_triangle(family: MonomialFamily) -> tuple[str, ...]:
+    """Draw a family of equal-degree monomials in three variables.
 
     Row l (l = 0 is the apex) shows the monomials X0^a X1^(l-a) X2^(d-l)
     with a descending left to right, so the bottom row runs X0^d ... X1^d
     and the apex is X2^d.  Members are drawn as '*', the rest as 'o'.
     """
-
-    d: int
-    member_count: int
-    rows: tuple[str, ...]
-
-    def to_text(self) -> str:
-        return "\n".join(self.rows) + "\n"
-
-
-def render_triangle(family: MonomialFamily) -> RenderedTriangle:
-    """Draw a family of equal-degree monomials in three variables."""
     if family.var_count != 3:
         raise MismatchedVariablesError(
             f"triangle rendering needs exactly 3 variables, family has "
@@ -87,31 +74,7 @@ def render_triangle(family: MonomialFamily) -> RenderedTriangle:
             for a in range(l, -1, -1)
         ]
         rows.append(" " * (d - l) + " ".join(glyphs))
-    return RenderedTriangle(d=d, member_count=family.n, rows=tuple(rows))
-
-
-def decode_triangle(text: str) -> MonomialFamily:
-    """Parse a triangle diagram back into the family it depicts."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FamilyFormatError("empty triangle")
-    d = len(lines) - 1
-    members = []
-    for l, line in enumerate(lines):
-        glyphs = line.split()
-        if len(glyphs) != l + 1:
-            raise FamilyFormatError(
-                f"triangle row {l}: expected {l + 1} symbols, found {len(glyphs)}"
-            )
-        for slot, glyph in enumerate(glyphs):
-            if glyph not in (MEMBER_GLYPH, EMPTY_GLYPH):
-                raise FamilyFormatError(
-                    f"triangle row {l}: unexpected symbol {glyph!r}"
-                )
-            if glyph == MEMBER_GLYPH:
-                a = l - slot
-                members.append((a, l - a, d - l))
-    return MonomialFamily.of(members, var_count=3)
+    return tuple(rows)
 
 
 # -- shared helpers -----------------------------------------------------
@@ -158,12 +121,7 @@ def _emit_json(payload: dict) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     family = _load_family(args.path, args.inline)
-    if args.brute:
-        verdict = check_brute_force(family)
-    elif args.mixed:
-        verdict = check_efficient(family, grid_limit=0)
-    else:
-        verdict = check_efficient(family)
+    verdict = check_brute_force(family) if args.brute else check_efficient(family)
     if verdict.criterion_value_only:
         print(
             "warning: family is not m-primary; reporting the slope criterion "
@@ -186,14 +144,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if verdict is not None:
             payload["verdict"] = verdict.to_json_dict()
         if triangle is not None:
-            payload["triangle"] = list(triangle.rows)
+            payload["triangle"] = list(triangle)
         _emit_json(payload)
         return 0
     sys.stdout.write(family.to_text())
     if verdict is not None:
         _print_verdict(family, verdict)
     if triangle is not None:
-        sys.stdout.write(triangle.to_text())
+        sys.stdout.write("\n".join(triangle) + "\n")
     return 0
 
 
@@ -207,19 +165,7 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_jobs() -> Optional[int]:
-    raw = os.environ.get("SYZSTAB_JOBS")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise Error(f"SYZSTAB_JOBS must be an integer, got {raw!r}") from exc
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-
     def emit(record: dict) -> None:
         _emit_json(record)
         sys.stdout.flush()
@@ -231,7 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
         progress=emit,
         resume_token=args.resume,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     emit({"event": "result", **report.to_json_dict()})
     return 0
@@ -243,13 +189,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(
             {
-                "d": triangle.d,
-                "member_count": triangle.member_count,
-                "triangle": list(triangle.rows),
+                "d": family.degrees[0],
+                "member_count": family.n,
+                "triangle": list(triangle),
             }
         )
         return 0
-    sys.stdout.write(triangle.to_text())
+    sys.stdout.write("\n".join(triangle) + "\n")
     return 0
 
 
@@ -289,14 +235,8 @@ def build_parser() -> _Parser:
         metavar="MEMBERS",
         help="comma-separated members, e.g. 'x0^5, x1^5, x2^5, x0^4 x1'",
     )
-    mode = p_check.add_mutually_exclusive_group()
-    mode.add_argument(
+    p_check.add_argument(
         "--brute", action="store_true", help="use the exponential subset scan"
-    )
-    mode.add_argument(
-        "--mixed",
-        action="store_true",
-        help="force the gcd-closure scan",
     )
     p_check.add_argument("--json", action="store_true", help="machine output")
     p_check.set_defaults(func=cmd_check)
@@ -351,7 +291,7 @@ def build_parser() -> _Parser:
         default=None,
         help=(
             "parallel partitions, capped at the partitions to scan and the "
-            "CPU count (default: SYZSTAB_JOBS or serial)"
+            "CPU count (default: serial)"
         ),
     )
     p_search.add_argument(

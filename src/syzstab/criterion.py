@@ -17,12 +17,12 @@ subset.  Its candidates come from one of two scans.  For an equal-degree-d
 family, a dominance-count lattice scan counts the multiples of every cell
 of an exponent box (exponents clipped to d-1) by reversed cumulative sums
 along each axis.  The scan is taken when the box has at most
-``grid_limit`` cells; ``grid_limit=0`` forces the closure, which every
-other family uses.  The oracle visits at most ``BRUTE_BUDGET`` subsets and
-the closure holds at most ``CLOSURE_LIMIT`` gcds; both raise
-``CapacityError`` beyond, and both limits are read at call time.  The
-lattice scan is the only user of numpy and imports it on its first call,
-so the closure, the oracle and importing this module never load it.
+``GRID_LIMIT`` cells; every other family takes the closure.  The oracle
+visits at most ``BRUTE_BUDGET`` subsets and the closure holds at most
+``CLOSURE_LIMIT`` gcds; both raise ``CapacityError`` beyond.  All three
+limits are read at call time.  The lattice scan is the only user of numpy
+and imports it on its first call, so the closure, the oracle and
+importing this module never load it.
 
 Both report the same witness for a verdict that is not stable: the subset
 with the largest quotient, ties going to the lexicographically smallest
@@ -46,7 +46,7 @@ from .errors import (
 from .monomial import Monomial, MonomialFamily
 
 BRUTE_BUDGET = 2**24
-DEFAULT_GRID_LIMIT = 500_000
+GRID_LIMIT = 500_000
 CLOSURE_LIMIT = 10**6
 
 
@@ -397,9 +397,7 @@ def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
         yield t - d * k, k - 1, tuple(g), k
 
 
-def check_efficient(
-    family: MonomialFamily, *, grid_limit: int = DEFAULT_GRID_LIMIT
-) -> StabilityVerdict:
+def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     """Decide stability by scanning candidate gcds instead of subsets.
 
     A subset of size k whose gcd is divisible by g has a quotient at most
@@ -409,15 +407,15 @@ def check_efficient(
     over subsets, and the lexicographically smallest maximizing prefix is
     the oracle's witness.  Equal-degree-d families whose exponent box, of
     min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
-    ``grid_limit`` cells take their candidates from the lattice scan of
+    ``GRID_LIMIT`` cells take their candidates from the lattice scan of
     that box, where only full multiple sets matter because the quotient
-    grows with k; all others from the gcd closure.  ``grid_limit=0``
-    forces the closure.  Verdicts equal ``check_brute_force``'s.
+    grows with k; all others from the gcd closure.  Verdicts equal
+    ``check_brute_force``'s.
     """
     slope = _validate_for_check(family)
     d = family.degrees[0]
     box = family.is_equal_degree and _lattice_box(family, d)
-    if box and prod(box) <= grid_limit:
+    if box and prod(box) <= GRID_LIMIT:
         candidates = _grid_candidates(family, d, box)
     else:
         candidates = _closure_candidates(family, slope)

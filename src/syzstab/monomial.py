@@ -310,15 +310,6 @@ class MonomialFamily:
         lines.extend(str(m) for m in self.members)
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> MonomialFamily:
-        try:
-            var_count = int(data["vars"])
-            members = [Monomial(tuple(int(e) for e in v)) for v in data["members"]]
-        except (KeyError, TypeError, ValueError) as err:
-            raise FamilyFormatError(f"bad family JSON: {err}") from None
-        return cls(var_count, tuple(members))
-
     def to_json_dict(self) -> dict:
         return {
             "vars": self.var_count,

@@ -141,15 +141,14 @@ def _is_representative(chosen: tuple[int, ...], rows) -> bool:
     )
 
 
-def _partitions(free_count: int, k: int) -> list[tuple[int, int]]:
-    """(partition, family count) pairs.  Partition p holds the subsets whose
-    smallest free index is p; with no free member to choose there is one
-    family, in partition -1."""
+def _partition(free_count: int, k: int, idx: int) -> tuple[int, int]:
+    """(partition, family count) at index idx of the partition plan.
+    Partition p holds the subsets whose smallest free index is p, so there
+    are ``free_count`` of them; with no free member to choose there is one,
+    partition -1, of one family."""
     if k == 0:
-        return [(-1, 1)]
-    if k < 0:
-        return []
-    return [(p, comb(free_count - 1 - p, k - 1)) for p in range(free_count)]
+        return -1, 1
+    return idx, comb(free_count - 1 - idx, k - 1)
 
 
 def _better(a: tuple, b: tuple) -> tuple:
@@ -194,10 +193,10 @@ def _is_count(value) -> bool:
 
 
 def _parse_token(
-    token: str, N: int, d: int, n: int, parts: list[tuple[int, int]]
+    token: str, N: int, d: int, n: int, free_count: int, part_count: int
 ) -> tuple[int, int, int, int, tuple]:
-    """Validate a resume token against this run's partitions and return
-    (partition, offset, families, orbits, best result)."""
+    """Validate a resume token against this run's ``part_count`` partitions
+    and return (partition, offset, families, orbits, best result)."""
     try:
         state = json.loads(token)
     except (RecursionError, ValueError) as exc:
@@ -220,7 +219,10 @@ def _parse_token(
             f"n={state['n']}), not (N={N}, d={d}, n={n})"
         )
     partition, offset = state["partition"], state["offset"]
-    if partition >= len(parts) or offset >= parts[partition][1]:
+    if (
+        partition >= part_count
+        or offset >= _partition(free_count, n - (N + 1), partition)[1]
+    ):
         raise Error(
             f"resume token position (partition {partition}, offset {offset}) "
             f"lies outside the search for (N={N}, d={d}, n={n})"
@@ -287,13 +289,15 @@ def exhaustive_search(
             f"degree d, got C(N+d, N) = {monomials} for N={N}, d={d}"
         )
 
-    # Every monomial of degree d but the N+1 pure powers is free.
-    parts = _partitions(monomials - (N + 1), n - (N + 1))
+    # Every monomial of degree d but the N+1 pure powers is free; k of them
+    # are chosen.
+    free_count, k = monomials - (N + 1), n - (N + 1)
+    part_count = free_count if k > 0 else int(k == 0)
     families, orbits, best = 0, 0, (0, None)
     start_partition, start_offset = 0, 0
     if resume_token is not None:
         start_partition, start_offset, families, orbits, best = _parse_token(
-            resume_token, N, d, n, parts
+            resume_token, N, d, n, free_count, part_count
         )
 
     # One job per partition, with enumeration caps reproducing the serial
@@ -301,8 +305,8 @@ def exhaustive_search(
     plan: list[tuple[int, ...]] = []
     remaining = budget - families
     truncated_at: Optional[tuple[int, int]] = None
-    for idx in range(start_partition, len(parts)):
-        p, size = parts[idx]
+    for idx in range(start_partition, part_count):
+        p, size = _partition(free_count, k, idx)
         skip = start_offset if idx == start_partition else 0
         if size <= skip:
             continue

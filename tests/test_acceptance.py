@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from syzstab import criterion
 from syzstab.criterion import (
     Stability,
     a_seq,
@@ -69,7 +70,9 @@ def test_subset_oracle_and_divisor_scan_agree_everywhere():
     def agree(family):
         slow = check_brute_force(family)
         fast = check_efficient(family)
-        closure = check_efficient(family, grid_limit=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criterion, "GRID_LIMIT", 0)
+            closure = check_efficient(family)
         assert slow == fast == closure, family.to_text()
         verify_verdict(family, slow)
 

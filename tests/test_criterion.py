@@ -32,6 +32,14 @@ from syzstab.monomial import (
     exponent_vectors_of_degree,
 )
 
+
+def check_closure(family: MonomialFamily):
+    """``check_efficient`` forced onto the gcd-closure scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criterion, "GRID_LIMIT", 0)
+        return check_efficient(family)
+
+
 # Recurring fixtures.  Member indices in the comments refer to the family's
 # canonical order (degree ascending, exponents descending-lex).
 STABLE_QUINTIC = MonomialFamily.of([(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 2, 1)])
@@ -242,12 +250,12 @@ def test_mixed_checker_capacity(monkeypatch):
     # MIXED_SEMI's closure: its three members, x0, x1^2 and the unit.
     monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 2)
     with pytest.raises(CapacityError):
-        check_efficient(MIXED_SEMI, grid_limit=0)
+        check_closure(MIXED_SEMI)
     monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 5)
     with pytest.raises(CapacityError):
         check_efficient(MIXED_SEMI)
     monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 6)
-    assert check_efficient(MIXED_SEMI, grid_limit=0) == check_brute_force(MIXED_SEMI)
+    assert check_closure(MIXED_SEMI) == check_brute_force(MIXED_SEMI)
 
 
 @pytest.mark.parametrize("check", [check_brute_force, check_efficient])
@@ -309,11 +317,9 @@ def test_verify_verdict_rejects_broken_verdicts():
 
 def test_grid_and_closure_paths_agree(monkeypatch):
     for fam in (STABLE_QUINTIC, UNSTABLE_QUINTIC, QUADRICS_52):
-        via_grid = check_efficient(fam)
-        via_closure = check_efficient(fam, grid_limit=0)
-        assert via_grid == via_closure
+        assert check_efficient(fam) == check_closure(fam)
 
-    # grid_limit counts the cells of the clipped exponent box: 5 * 5 * 5
+    # GRID_LIMIT counts the cells of the clipped exponent box: 5 * 5 * 5
     # for the quintic, whose exponents clip to at most d - 1 = 4.
     closure_calls = []
     closure_masks = criterion._closure_masks
@@ -323,11 +329,13 @@ def test_grid_and_closure_paths_agree(monkeypatch):
         return closure_masks(*args)
 
     monkeypatch.setattr(criterion, "_closure_masks", counting)
-    at_box = check_efficient(UNSTABLE_QUINTIC, grid_limit=125)
-    assert not closure_calls
-    below_box = check_efficient(UNSTABLE_QUINTIC, grid_limit=124)
-    assert len(closure_calls) == 1
-    assert at_box == below_box
+    verdicts = []
+    for limit, closure_count in ((125, 0), (124, 1), (0, 2)):
+        monkeypatch.setattr(criterion, "GRID_LIMIT", limit)
+        verdicts.append(check_efficient(UNSTABLE_QUINTIC))
+        assert len(closure_calls) == closure_count, limit
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0].status is Stability.UNSTABLE
 
 
 def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
@@ -416,14 +424,14 @@ def mixed_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_checkers_agree_equal_degree(fam):
     brute = check_brute_force(fam)
-    assert brute == check_efficient(fam) == check_efficient(fam, grid_limit=0)
+    assert brute == check_efficient(fam) == check_closure(fam)
 
 
 @given(mixed_families())
 @settings(max_examples=150, deadline=None)
 def test_checkers_agree_mixed_degrees(fam):
     brute = check_brute_force(fam)
-    assert brute == check_efficient(fam) == check_efficient(fam, grid_limit=0)
+    assert brute == check_efficient(fam) == check_closure(fam)
 
 
 @given(equal_degree_families(), st.permutations(range(3)))

@@ -272,8 +272,7 @@ def test_dense_degree_twelve_triangles(n, source, i, rows):
     fam, recipe = generate_P34(n, 12)
     assert recipe.source == source
     assert recipe.params == {"j": 2, "i": i}
-    rendered = render_triangle(fam)
-    assert [line.split() for line in rendered.rows] == [
+    assert [line.split() for line in render_triangle(fam)] == [
         row.split() for row in rows
     ]
     assert check_efficient(fam).status is Stability.STABLE
@@ -331,14 +330,35 @@ def test_corner_fill_without_a_threshold_raises(monkeypatch):
         generate_P34(28, 9)
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips asserts, so no check in the package may be one.
+def _package_lines(match) -> dict[str, list[int]]:
+    """Lines of the AST nodes in the package's sources that ``match``, by
+    file name."""
     sources = sorted(Path(syzstab.__file__).parent.rglob("*.py"))
     assert sources
+    found = {}
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
-        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not lines, f"{path.name} asserts at lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree) if match(node)]
+        if lines:
+            found[path.name] = lines
+    return found
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no check in the package may be one.
+    assert _package_lines(lambda node: isinstance(node, ast.Assert)) == {}
+
+
+def test_package_reads_no_environment_variables():
+    # Every setting is a flag or an argument: no os.environ or os.getenv.
+    names = {"environ", "environb", "getenv", "getenvb"}
+
+    def reads_environment(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name in names for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    assert _package_lines(reads_environment) == {}
 
 
 # --- dispatchers ---------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import os
 import resource
 import subprocess
@@ -193,11 +192,12 @@ def test_text_round_trip():
     assert fam.to_text().startswith("vars=3\n")
 
 
-def test_json_round_trip():
-    fam = MonomialFamily.of([(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 2, 1)])
-    payload = json.loads(json.dumps(fam.to_json_dict()))
-    assert MonomialFamily.from_json_dict(payload) == fam
-    assert payload["vars"] == 3
+def test_family_to_json_dict():
+    fam = MonomialFamily.of([(0, 0, 5), (2, 2, 1), (0, 5, 0), (5, 0, 0)])
+    assert fam.to_json_dict() == {
+        "vars": 3,
+        "members": [[5, 0, 0], [2, 2, 1], [0, 5, 0], [0, 0, 5]],
+    }
 
 
 def test_exponent_vectors_of_degree():

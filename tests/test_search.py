@@ -182,6 +182,10 @@ def test_resume_token_validation():
         {"offset": -5},
         {"partition": 10**6},
         {"offset": 10**6},
+        # 7 partitions, of C(6 - p, 2) families: 1 at p = 4, none past it.
+        {"partition": 7, "offset": 0},
+        {"partition": 5, "offset": 0},
+        {"partition": 4, "offset": 1},
         {"N": True},
         {"families_examined": 1.5},
         {"schema_version": 2},
@@ -197,6 +201,11 @@ def test_resume_token_validation():
     for token in tokens:
         with pytest.raises(Error):
             exhaustive_search(2, 3, 6, resume_token=token)
+    # With no free member to choose, the one family sits at position (0, 0).
+    pure = {**state, "n": 3, "best_status": None, "best_family": None}
+    for position in ({"partition": 1, "offset": 0}, {"partition": 0, "offset": 1}):
+        with pytest.raises(Error, match="lies outside the search"):
+            exhaustive_search(2, 3, 3, resume_token=json.dumps({**pure, **position}))
 
 
 def test_parameter_validation():
