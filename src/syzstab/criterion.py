@@ -13,16 +13,16 @@ This module offers two independent deciders.  ``check_brute_force`` walks
 every subset and is the transparent oracle.  ``check_efficient`` scans only
 candidate gcds and is exact as well: every subset's gcd shows up as a
 candidate, and every candidate's extreme value is realized by an actual
-subset.  Its candidates come from one of two scans.  For an equal-degree-d
-family, a dominance-count lattice scan counts the multiples of every cell
-of an exponent box (exponents clipped to d-1) by reversed cumulative sums
-along each axis.  The scan is taken when the box has at most
-``GRID_LIMIT`` cells; every other family takes the closure.  The oracle
-visits at most ``BRUTE_BUDGET`` subsets and the closure holds at most
-``CLOSURE_LIMIT`` gcds; both raise ``CapacityError`` beyond.  All three
-limits are read at call time.  The lattice scan is the only user of numpy
-and imports it on its first call, so the closure, the oracle and
-importing this module never load it.
+subset.  Its candidates come from one of two scans, both on Python ints
+used as bitsets.  For an equal-degree-d family, a lattice scan walks the
+cells of an exponent box (exponents clipped to d-1) depth-first, keeps the
+members divisible by the current cell as the bits of one int, and prunes
+every branch that can hold no candidate.  The scan is taken when the box
+has at most ``GRID_LIMIT`` cells; every other family takes the gcd
+closure, built over rank-coded thermometer ints whose AND is the gcd.  The
+oracle visits at most ``BRUTE_BUDGET`` subsets and the closure holds at
+most ``CLOSURE_LIMIT`` gcds; both raise ``CapacityError`` beyond.  All
+three limits are read at call time.
 
 Both report the same witness for a verdict that is not stable: the subset
 with the largest quotient, ties going to the lexicographically smallest
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import comb, prod
 
 from .errors import (
     CapacityError,
@@ -311,25 +311,48 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     return _verdict(family, slope, best_q, best_idx, best_gcd)
 
 
-def _closure_masks(family: MonomialFamily) -> dict[tuple[int, ...], int]:
-    """Every gcd of a nonempty subset of members, as an exponent tuple
-    mapped to the bitmask of the members it divides.
+def _closure_masks(family: MonomialFamily):
+    """Every gcd of a nonempty subset of members, as a rank code mapped to
+    the bitmask of the members it divides, and the decoder of those codes
+    into exponent tuples.
 
-    Built member by member as C <- C u {gcd(c, m) : c in C} u {m}.  A new
-    gcd g divides m and exactly the earlier members that some c with
-    gcd(c, m) = g divides (the gcd of g's earlier multiples is such a c),
-    so its mask is the union of theirs plus m's bit.
+    A member's code holds one thermometer field per variable: as many ones
+    as the rank of its exponent among the column's distinct values.  The
+    rank of a minimum is the minimum of the ranks, so the gcd of two codes
+    is their AND, and a field is at most n - 1 bits wide whatever the
+    exponents.  The closure is built member by member as
+    C <- C u {gcd(c, m) : c in C} u {m}.  A new gcd g divides m and exactly
+    the earlier members that some c with gcd(c, m) = g divides (the gcd of
+    g's earlier multiples is such a c), so its mask is the union of theirs
+    plus m's bit.
     """
-    closure: dict[tuple[int, ...], int] = {}
-    for i, m in enumerate(family.members):
-        e, bit = m.exponents, 1 << i
-        updates = [(tuple(map(min, c, e)), mask) for c, mask in closure.items()]
-        updates.append((e, 0))
-        for g, mask in updates:
+    codes = [0] * family.n
+    fields, shift = [], 0
+    for column in zip(*(m.exponents for m in family.members)):
+        values = sorted(set(column))
+        ones = {e: (1 << r) - 1 for r, e in enumerate(values)}
+        for i, e in enumerate(column):
+            codes[i] |= ones[e] << shift
+        fields.append((shift, (1 << len(values) - 1) - 1, values))
+        shift += len(values) - 1
+
+    def decode(code: int) -> tuple[int, ...]:
+        return tuple(
+            [values[(code >> at & full).bit_count()] for at, full, values in fields]
+        )
+
+    closure: dict[int, int] = {}
+    for i, e in enumerate(codes):
+        bit = 1 << i
+        for c, mask in list(closure.items()):
+            g = c & e
             closure[g] = closure.get(g, 0) | mask | bit
-            if len(closure) > CLOSURE_LIMIT:
-                raise CapacityError(f"gcd closure exceeded {CLOSURE_LIMIT} elements")
-    return closure
+        closure[e] = closure.get(e, 0) | bit
+        # A member at most doubles the closure, so it never holds more
+        # than 2 * CLOSURE_LIMIT + 1 gcds before this raises.
+        if len(closure) > CLOSURE_LIMIT:
+            raise CapacityError(f"gcd closure exceeded {CLOSURE_LIMIT} elements")
+    return closure, decode
 
 
 def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
@@ -339,7 +362,8 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     factor, the unit.  Raises ``CapacityError`` beyond ``CLOSURE_LIMIT``
     elements.
     """
-    return tuple(sorted(map(Monomial, _closure_masks(family)), key=Monomial.canon_key))
+    closure, decode = _closure_masks(family)
+    return tuple(sorted(map(Monomial, map(decode, closure)), key=Monomial.canon_key))
 
 
 def _closure_candidates(family: MonomialFamily, slope: Fraction):
@@ -348,7 +372,11 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction):
     quotient bound (deg g - degree sum) / (k - 1); only bounds at or above
     the slope."""
     degs, top = family.degrees, family.n - 1
-    for g, mask in _closure_masks(family).items():
+    closure, decode = _closure_masks(family)
+    for code, mask in closure.items():
+        if not mask & (mask - 1):
+            continue  # a single multiple gives no subset
+        g = decode(code)
         base, total, k = sum(g), 0, 0
         while mask and k < top:
             low = mask & -mask
@@ -367,34 +395,76 @@ def _lattice_box(family: MonomialFamily, d: int) -> tuple[int, ...]:
     return tuple(min(top, d - 1) + 1 for top in map(max, exps))
 
 
+def _scan_band(n: int, d: int, v: int) -> tuple[int, int]:
+    """Bounds ``(top, k_min)`` on the candidates of an n-member
+    equal-degree-d family in v variables: every candidate cell has degree
+    at most ``top`` and at least ``k_min`` multiples.
+
+    A degree-t cell with k multiples is a candidate iff d*k >= (d-t)*n + t,
+    that is t >= t_min(k) = ceil(d*(n-k)/(n-1)), and it has at most
+    C(d-t+v-1, v-1) multiples (one per degree-(d-t) cofactor).  ``top`` is
+    the largest t <= d-1 at which that cap passes the test, or 0.  A cell
+    with k multiples leads to a candidate of degree at most ``top`` only if
+    t_min(k) <= top, that is d*k >= (d-top)*n + top.  Both bounds only
+    shrink along a walk that raises exponents, so a scan can stop at the
+    first cell outside them.
+    """
+    for top in range(d - 1, 0, -1):
+        if d * comb(d - top + v - 1, v - 1) >= (d - top) * n + top:
+            return top, max(2, -(-((d - top) * n + top) // d))
+    return 0, n + 1
+
+
 def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
     """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
     full multiple set of size k >= 2, where the quotient is largest, as
     (numerator, denominator, g, k); only margins at or below zero.
 
-    k is a dominance count: put one member per cell of ``box`` (exponents
-    clipped to d-1, which no such g exceeds) and take reversed cumulative
-    sums along every axis, so each cell holds #{members >= g}.  A cell of
-    degree d or more divides at most one member, so k >= 2 bounds the
-    degree from above."""
-    import numpy as np
-
+    Members are bits of an int.  ``ge[j][a]`` is the bitmask of members
+    whose exponent of x_j is at least a, for a below ``box[j]`` (one bucket
+    pass per column, then a suffix OR).  The walk visits the cells of
+    ``box`` depth-first over the variables and ANDs in one mask per step,
+    so a cell's multiples are the bits of its mask.  Raising an exponent
+    raises the degree and drops multiples, so a loop stops at the first
+    cell outside ``_scan_band``.  Axes of one cell hold only exponent 0 and
+    are not walked, so the depth stays below the number of axes a box of
+    ``GRID_LIMIT`` cells can have."""
     n = family.n
-    members = np.minimum(
-        np.array([m.exponents for m in family.members], dtype=np.int64), d - 1
-    )
-    count = np.bincount(
-        np.ravel_multi_index(members.T, box), minlength=prod(box)
-    ).reshape(box)
-    for axis in range(len(box)):
-        rev = (slice(None),) * axis + (slice(None, None, -1),)
-        count = count[rev].cumsum(axis=axis)[rev]
-    shared = count >= 2
-    cells, size = np.argwhere(shared), count[shared]
-    deg = cells.sum(axis=1)
-    hit = (deg >= 1) & ((d - deg) * n + deg <= d * size)
-    for g, t, k in zip(cells[hit].tolist(), deg[hit].tolist(), size[hit].tolist()):
-        yield t - d * k, k - 1, tuple(g), k
+    top, k_min = _scan_band(n, d, len(box))
+    if n < 2 or not top:
+        return []
+    bits = [1 << i for i in range(n)]
+    columns = zip(*(m.exponents for m in family.members))
+    ge = {}
+    for j, (column, size) in enumerate(zip(columns, box)):
+        if size > 1:
+            masks, clip = [0] * size, size - 1
+            for bit, e in zip(bits, column):
+                masks[e if e < clip else clip] |= bit
+            for a in range(clip - 1, -1, -1):
+                masks[a] |= masks[a + 1]
+            ge[j] = masks
+    axes = list(ge)
+    last = len(axes) - 1
+    cell, out = [0] * len(box), []
+
+    def walk(depth: int, mask: int, t: int) -> None:
+        j = axes[depth]
+        for a, above in enumerate(ge[j]):
+            below = mask & above
+            k = below.bit_count()
+            if t > top or k < k_min:
+                break
+            cell[j] = a
+            if depth < last:
+                walk(depth + 1, below, t)
+            elif t and (d - t) * n + t <= d * k:
+                out.append((t - d * k, k - 1, tuple(cell), k))
+            t += 1
+        cell[j] = 0
+
+    walk(0, (1 << n) - 1, 0)
+    return out
 
 
 def check_efficient(family: MonomialFamily) -> StabilityVerdict:

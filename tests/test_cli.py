@@ -363,6 +363,22 @@ def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
     assert "concurrent.futures.process" not in loaded
 
 
+@pytest.mark.parametrize(
+    "args, rc",
+    [
+        (("check", "--json", "-"), 0),
+        (("generate", "2", "10", "4", "--check"), 0),
+        (("search", "2", "2", "5"), 0),
+    ],
+)
+def test_lattice_scan_paths_do_not_load_numpy(args, rc):
+    # The package imports no numpy at all; these paths run the lattice scan.
+    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
+    assert proc.returncode == rc, proc.stderr
+    assert "numpy" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
 def test_serial_search_does_not_load_the_pool():
     proc, loaded = run_fresh("search", "2", "2", "5")
     assert proc.returncode == 0, proc.stderr
@@ -370,19 +386,38 @@ def test_serial_search_does_not_load_the_pool():
     assert "concurrent.futures.process" not in loaded
 
 
-def test_plane_check_loads_numpy_and_keeps_its_json():
+def test_plane_check_keeps_its_json_without_numpy():
     proc, loaded = run_fresh(
         "check", "--json", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"
     )
     assert proc.returncode == 3
-    assert "numpy" in loaded
-    # Output recorded with numpy imported at module load.
+    assert "numpy" not in loaded
+    # Output recorded when the lattice scan ran on numpy.
     assert proc.stdout == (
         '{"schema_version": 1, "status": "unstable", "family_slope": [-20, 3], '
         '"criterion_value_only": false, "violation": {"indices": [0, 1], '
         '"gcd": [4, 0, 0], "gcd_degree": 4, "size": 2, "quotient": [-6, 1], '
         '"family_slope": [-20, 3]}}\n'
     )
+
+
+def test_huge_exponents_stay_cheap():
+    # Mixed degrees near MAX_DEGREE take the gcd closure, whose rank codes
+    # are at most n - 1 bits per variable whatever the exponents.
+    inline = ["--inline", "x0^1000000, x1^1000000, x0^999999 x1, x0^500000 x1^499999"]
+    fast, brute = (
+        subprocess.run(
+            [sys.executable, "-m", "syzstab.cli", "check", *flags, "--json", *inline],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=CHILD_ENV,
+        )
+        for flags in ([], ["--brute"])
+    )
+    assert fast.returncode == brute.returncode == 3, fast.stderr + brute.stderr
+    assert fast.stdout == brute.stdout
+    assert json.loads(fast.stdout)["violation"]["gcd"] == [999999, 0]
 
 
 def test_search_jobs_env(monkeypatch, capsys):

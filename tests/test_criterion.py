@@ -2,8 +2,9 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import comb
+from operator import le
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from syzstab.errors import (
     InvalidVerdictError,
 )
 from syzstab.monomial import (
+    MAX_DEGREE,
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
@@ -338,21 +340,31 @@ def test_grid_and_closure_paths_agree(monkeypatch):
     assert verdicts[0].status is Stability.UNSTABLE
 
 
+def test_lattice_scan_skips_unused_variables():
+    # 2,998 variables that no member uses are axes of one cell: the walk
+    # does not descend them, so its depth is not the variable count.
+    pad = (0,) * 2998
+    fam = MonomialFamily.of([(2, 0) + pad, (0, 2) + pad, (1, 1) + pad])
+    box = criterion._lattice_box(fam, 2)
+    assert box == (2, 2) + (1,) * 2998
+    x0, x1 = (1, 0) + pad, (0, 1) + pad
+    candidates = sorted(criterion._grid_candidates(fam, 2, box))
+    assert candidates == [(-3, 1, x1, 2), (-3, 1, x0, 2)]
+    assert check_efficient(fam) == check_brute_force(fam)
+
+
 def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
     """Reference for the lattice scan: count the multiples of every divisor
     of degree 1..d-1 by comparing it with every member."""
     n, v = family.n, family.var_count
-    members = np.array([m.exponents for m in family.members], dtype=np.int64)
-    cells = [g for t in range(1, d) for g in exponent_vectors_of_degree(v, t)]
-    cand = np.array(cells, dtype=np.int64).reshape(-1, v)
-    counts = (cand[:, None, :] <= members[None, :, :]).all(axis=2).sum(axis=1)
-    cdeg = cand.sum(axis=1)
-    margins = (d - cdeg) * n + cdeg - d * counts
-    hits = np.flatnonzero((counts >= 2) & (margins <= 0)).tolist()
-    return [
-        (int(cdeg[r]) - d * int(k), int(k) - 1, cells[r], int(k))
-        for r, k in zip(hits, counts[hits])
-    ]
+    members = [m.exponents for m in family.members]
+    out = []
+    for t in range(1, d):
+        for g in exponent_vectors_of_degree(v, t):
+            k = sum(all(map(le, g, e)) for e in members)
+            if k >= 2 and (d - t) * n + t - d * k <= 0:
+                out.append((t - d * k, k - 1, g, k))
+    return out
 
 
 @st.composite
@@ -369,11 +381,45 @@ def lattice_families(draw):
 @given(lattice_families())
 @example(MonomialFamily.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 @example(MonomialFamily.of(list(exponent_vectors_of_degree(5, 3))))
+@example(MonomialFamily.of(list(exponent_vectors_of_degree(3, 22))))
+@example(
+    MonomialFamily.of(
+        {e for e in exponent_vectors_of_degree(3, 26) if e[0] >= 13}
+        | {(26, 0, 0), (0, 26, 0), (0, 0, 26)}
+    )
+)
+@example(MonomialFamily.of([(0, 4, 0)]))
 @settings(max_examples=300, deadline=None)
 def test_lattice_scan_matches_broadcast_reference(fam):
     d = fam.degrees[0]
     lattice = criterion._grid_candidates(fam, d, criterion._lattice_box(fam, d))
     assert sorted(lattice) == sorted(_broadcast_candidates(fam, d))
+
+
+@given(
+    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=7),
+)
+@example(4, 2, 3)
+@example(2, 3, 3)
+@settings(max_examples=300, deadline=None)
+def test_scan_band_is_exact(n, d, v):
+    # A degree-t cell of an equal-degree-d family in v variables has at most
+    # C(d-t+v-1, v-1) multiples; with k of them it is a candidate iff its
+    # quotient reaches the slope.  The band is exactly the largest degree
+    # and the fewest multiples among such (t, k): a wider band wastes work,
+    # a narrower one loses candidates.
+    slope = Fraction(-n * d, n - 1)
+    possible = [
+        (t, k)
+        for t in range(1, d)
+        for k in range(2, min(n, comb(d - t + v - 1, v - 1)) + 1)
+        if Fraction(t - d * k, k - 1) >= slope
+    ]
+    top = max((t for t, _ in possible), default=0)
+    k_min = min((k for _, k in possible), default=n + 1)
+    assert criterion._scan_band(n, d, v) == (top, k_min)
 
 
 def _pure(var_count: int, index: int, exponent: int) -> tuple[int, ...]:
@@ -418,6 +464,47 @@ def mixed_families(draw):
         )
     )
     return MonomialFamily.of(seeds | set(extras))
+
+
+def _tuple_closure_masks(family: MonomialFamily) -> dict[tuple[int, ...], int]:
+    """Reference for the rank-coded closure: the same member-by-member
+    build over exponent tuples, with the gcd taken coordinate-wise."""
+    closure: dict[tuple[int, ...], int] = {}
+    for i, m in enumerate(family.members):
+        e, bit = m.exponents, 1 << i
+        updates = [(tuple(map(min, c, e)), mask) for c, mask in closure.items()]
+        updates.append((e, 0))
+        for g, mask in updates:
+            closure[g] = closure.get(g, 0) | mask | bit
+    return closure
+
+
+@st.composite
+def closure_families(draw):
+    # One exponent per member takes up the rest of its degree, which is near
+    # MAX_DEGREE or small, equal for every member or not.
+    var_count = draw(st.integers(min_value=2, max_value=4))
+    top = draw(st.sampled_from([12, MAX_DEGREE]))
+    equal = draw(st.booleans())
+    rest = st.lists(st.integers(0, 3), min_size=var_count - 1, max_size=var_count - 1)
+    members = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        exps = draw(rest)
+        degree = top if equal else top - draw(st.integers(0, 2))
+        exps.insert(draw(st.integers(0, var_count - 1)), degree - sum(exps))
+        members.add(tuple(exps))
+    return MonomialFamily.of(members)
+
+
+@given(st.one_of(closure_families(), mixed_families(), equal_degree_families()))
+@example(MonomialFamily.of([(2, 0), (0, 3), (1, 2)]))
+@example(MonomialFamily.of([(MAX_DEGREE, 0), (0, MAX_DEGREE), (MAX_DEGREE - 1, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_rank_coded_closure_matches_tuple_reference(fam):
+    closure, decode = criterion._closure_masks(fam)
+    decoded = {decode(code): mask for code, mask in closure.items()}
+    assert len(decoded) == len(closure)
+    assert decoded == _tuple_closure_masks(fam)
 
 
 @given(equal_degree_families())

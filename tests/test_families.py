@@ -361,6 +361,18 @@ def test_package_reads_no_environment_variables():
     assert _package_lines(reads_environment) == {}
 
 
+def test_package_imports_no_numpy():
+    # Both candidate scans run on Python ints; only bench/ uses numpy.
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] == "numpy"
+        return False
+
+    assert _package_lines(imports_numpy) == {}
+
+
 # --- dispatchers ---------------------------------------------------------
 
 
