@@ -53,6 +53,7 @@ def main() -> int:
         (min(args.dims) < 2, "--dims must all be at least 2"),
         (args.d_min < 1, "--d-min must be at least 1"),
         (args.d_max < args.d_min, "--d-max must be at least --d-min"),
+        (args.jobs < 1, "--jobs must be at least 1"),
     ):
         if bad:
             print(f"error: {message}", file=sys.stderr)

@@ -83,13 +83,15 @@ def _load_family(path: Optional[str], inline: Optional[str]) -> MonomialFamily:
     if inline is not None:
         parts = [p.strip() for p in inline.replace(";", ",").split(",") if p.strip()]
         return MonomialFamily.from_text("\n".join(parts))
-    if path == "-":
-        return MonomialFamily.from_text(sys.stdin.read())
     try:
-        with open(path, encoding="utf-8") as fh:
-            return MonomialFamily.from_text(fh.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FamilyFormatError(f"cannot read {path}: {exc}") from exc
+    return MonomialFamily.from_text(text)
 
 
 def _witness_text(

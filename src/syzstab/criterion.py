@@ -14,10 +14,12 @@ every subset and is the transparent oracle.  ``check_efficient`` scans only
 candidate gcds and is exact as well: every subset's gcd shows up as a
 candidate, and every candidate's extreme value is realized by an actual
 subset.  Its candidates come from one of two scans, both on Python ints
-used as bitsets.  For an equal-degree-d family, a lattice scan walks the
-cells of an exponent box (exponents clipped to d-1) depth-first, keeps the
-members divisible by the current cell as the bits of one int, and prunes
-every branch that can hold no candidate.  The scan is taken when the box
+used as bitsets, and each candidate is the mask of its subset's members
+(bit i for member i); the witness gcd is taken from the witness members.
+For an equal-degree-d family, a lattice scan walks the cells of an
+exponent box (exponents clipped to d-1) depth-first, keeps the members
+divisible by the current cell as the bits of one int, and prunes every
+branch that can hold no candidate.  The scan is taken when the box
 has at most ``GRID_LIMIT`` cells; every other family takes the gcd
 closure, built over rank-coded thermometer ints whose AND is the gcd.  The
 oracle visits at most ``BRUTE_BUDGET`` subsets and the closure holds at
@@ -199,17 +201,18 @@ def _verdict(
     slope: Fraction,
     quotient: Fraction | None = None,
     indices: tuple[int, ...] = (),
-    gcd: Monomial | None = None,
 ) -> StabilityVerdict:
     """Package a checker's maximizing subset into a verdict: stable when
     there is none or its quotient is below the slope, semistable-only on
-    the slope, unstable above it."""
+    the slope, unstable above it.  The witness gcd is the componentwise
+    minimum of the subset's exponents."""
     flag = not family.is_m_primary()
     if quotient is None or quotient < slope:
         return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
+    exps = (family.members[i].exponents for i in indices)
     witness = SubsetWitness(
         indices=indices,
-        gcd=gcd,
+        gcd=Monomial(tuple(map(min, *exps))),
         size=len(indices),
         quotient=quotient,
         family_slope=slope,
@@ -289,17 +292,16 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
 
     best_q: Fraction | None = None
     best_idx: tuple[int, ...] = ()
-    best_gcd: Monomial | None = None
 
     def visit(i: int, chosen: list[int], g: Monomial | None, deg_sum: int):
-        nonlocal best_q, best_idx, best_gcd
+        nonlocal best_q, best_idx
         if i == n:
             k = len(chosen)
             if 2 <= k < n:
                 q = Fraction(g.degree - deg_sum, k - 1)
                 idx = tuple(chosen)
                 if best_q is None or q > best_q or (q == best_q and idx < best_idx):
-                    best_q, best_idx, best_gcd = q, idx, g
+                    best_q, best_idx = q, idx
             return
         m = members[i]
         chosen.append(i)
@@ -308,7 +310,7 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
         visit(i + 1, chosen, g, deg_sum)
 
     visit(0, [], None, 0)
-    return _verdict(family, slope, best_q, best_idx, best_gcd)
+    return _verdict(family, slope, best_q, best_idx)
 
 
 def _closure_masks(family: MonomialFamily):
@@ -368,24 +370,24 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
 
 def _closure_candidates(family: MonomialFamily, slope: Fraction):
     """For every gcd-closure element g and size k, the k-prefix of g's
-    multiples in canonical order, as (numerator, denominator, g, k) of the
-    quotient bound (deg g - degree sum) / (k - 1); only bounds at or above
+    multiples in canonical order, as (numerator, denominator, prefix) of
+    the quotient bound (deg g - degree sum) / (k - 1), where ``prefix`` is
+    the mask of the k lowest bits of g's multiples; only bounds at or above
     the slope."""
     degs, top = family.degrees, family.n - 1
     closure, decode = _closure_masks(family)
     for code, mask in closure.items():
         if not mask & (mask - 1):
             continue  # a single multiple gives no subset
-        g = decode(code)
-        base, total, k = sum(g), 0, 0
-        while mask and k < top:
-            low = mask & -mask
-            mask ^= low
+        base, total, k, rest = sum(decode(code)), 0, 0, mask
+        while rest and k < top:
+            low = rest & -rest
+            rest ^= low
             total += degs[low.bit_length() - 1]
             k += 1
             num = base - total
             if k >= 2 and num * slope.denominator >= slope.numerator * (k - 1):
-                yield num, k - 1, g, k
+                yield num, k - 1, mask ^ rest
 
 
 def _lattice_box(family: MonomialFamily, d: int) -> tuple[int, ...]:
@@ -418,7 +420,8 @@ def _scan_band(n: int, d: int, v: int) -> tuple[int, int]:
 def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
     """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
     full multiple set of size k >= 2, where the quotient is largest, as
-    (numerator, denominator, g, k); only margins at or below zero.
+    (numerator, denominator, mask of the multiples); only margins at or
+    below zero.
 
     Members are bits of an int.  ``ge[j][a]`` is the bitmask of members
     whose exponent of x_j is at least a, for a below ``box[j]`` (one bucket
@@ -445,23 +448,19 @@ def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
                 masks[a] |= masks[a + 1]
             ge[j] = masks
     axes = list(ge)
-    last = len(axes) - 1
-    cell, out = [0] * len(box), []
+    last, out = len(axes) - 1, []
 
     def walk(depth: int, mask: int, t: int) -> None:
-        j = axes[depth]
-        for a, above in enumerate(ge[j]):
+        for above in ge[axes[depth]]:
             below = mask & above
             k = below.bit_count()
             if t > top or k < k_min:
                 break
-            cell[j] = a
             if depth < last:
                 walk(depth + 1, below, t)
             elif t and (d - t) * n + t <= d * k:
-                out.append((t - d * k, k - 1, tuple(cell), k))
+                out.append((t - d * k, k - 1, below))
             t += 1
-        cell[j] = 0
 
     walk(0, (1 << n) - 1, 0)
     return out
@@ -475,7 +474,9 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     smallest degrees; with g the subset's own gcd, that prefix attains the
     bound.  So the maximum over candidates g and prefixes is the maximum
     over subsets, and the lexicographically smallest maximizing prefix is
-    the oracle's witness.  Equal-degree-d families whose exponent box, of
+    the oracle's witness.  A maximizing prefix's gcd is g itself, or a
+    larger gcd would give a larger quotient, so a candidate is only the
+    mask of its members.  Equal-degree-d families whose exponent box, of
     min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
     ``GRID_LIMIT`` cells take their candidates from the lattice scan of
     that box, where only full multiple sets matter because the quotient
@@ -490,16 +491,16 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     else:
         candidates = _closure_candidates(family, slope)
     best_num, best_den, best = 0, 1, []
-    for num, den, g, k in candidates:
+    for num, den, mask in candidates:
         cross = num * best_den - best_num * den
         if not best or cross > 0:
-            best_num, best_den, best = num, den, [(g, k)]
+            best_num, best_den, best = num, den, [mask]
         elif cross == 0:
-            best.append((g, k))
+            best.append(mask)
     if not best:
         return _verdict(family, slope)
-    indices, g = min(
-        (family.indices_of_multiples(Monomial(g))[:k], g) for g, k in best
+    indices = min(
+        tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in best
     )
-    return _verdict(family, slope, Fraction(best_num, best_den), indices, Monomial(g))
+    return _verdict(family, slope, Fraction(best_num, best_den), indices)
 

@@ -28,7 +28,6 @@ from .errors import InvalidFamilyError, UnsupportedRangeError
 from .monomial import (
     MAX_DEGREE,
     MAX_FAMILY_CELLS,
-    Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
 )
@@ -380,9 +379,9 @@ def generate_P34(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
 
 def generate_pure_powers(N: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """The N+1 pure powers X_i^d."""
-    members = [Monomial.pure_power(N + 1, idx, d) for idx in range(N + 1)]
+    members = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
     return (
-        _validated([m.exponents for m in members], N + 1, N + 1, d),
+        _validated(members, N + 1, N + 1, d),
         FamilyRecipe(N, N + 1, d, "PurePowers"),
     )
 

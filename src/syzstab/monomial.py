@@ -59,11 +59,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    @property
-    def is_pure_power(self) -> bool:
-        """True when exactly one variable occurs (with positive exponent)."""
-        return sum(1 for e in self.exponents if e > 0) == 1
-
     def gcd(self, other: Monomial) -> Monomial:
         """Componentwise minimum of the two exponent vectors."""
         if other.var_count != self.var_count:
@@ -73,29 +68,9 @@ class Monomial:
             )
         return Monomial(tuple(map(min, self.exponents, other.exponents)))
 
-    def divides(self, other: Monomial) -> bool:
-        if other.var_count != self.var_count:
-            raise MismatchedVariablesError(
-                f"cannot compare monomials over {self.var_count} and "
-                f"{other.var_count} variables"
-            )
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
     def canon_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key: degree ascending, then exponents descending-lex."""
         return (self.degree, tuple(-e for e in self.exponents))
-
-    @classmethod
-    def unit(cls, var_count: int) -> Monomial:
-        return cls((0,) * var_count)
-
-    @classmethod
-    def pure_power(cls, var_count: int, index: int, exponent: int) -> Monomial:
-        if not 0 <= index < var_count:
-            raise ValueError(f"variable index {index} out of range")
-        exps = [0] * var_count
-        exps[index] = exponent
-        return cls(tuple(exps))
 
     @classmethod
     def parse(cls, text: str, var_count: int | None = None) -> Monomial:
@@ -266,9 +241,6 @@ class MonomialFamily:
             if e.count(0) == others
         }
         return len(covered) == self.var_count
-
-    def indices_of_multiples(self, g: Monomial) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members) if g.divides(m))
 
     # -- serialization ---------------------------------------------------
 

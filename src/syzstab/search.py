@@ -245,6 +245,20 @@ def _parse_token(
             f"vectors of degree {d} in {N + 1} variables"
         )
     best = (rank, None if exps is None else tuple(map(tuple, exps)))
+    if exps is not None:
+        # A degree-d vector holding d is a pure power, as in _free_monomials.
+        vectors = best[1]
+        ascending = all(a < b for a, b in zip(vectors, vectors[1:]))
+        if not ascending or sum(d in v for v in vectors) != N + 1:
+            raise Error(
+                "malformed resume token: best_family must hold distinct vectors "
+                f"in ascending order, among them all {N + 1} pure powers"
+            )
+        found = check_efficient(MonomialFamily.of(vectors)).status.value
+        if found != status:
+            raise Error(
+                f"resume token claims a {status} best_family, but it is {found}"
+            )
     return partition, offset, state["families_examined"], state["orbits_examined"], best
 
 
@@ -277,6 +291,8 @@ def exhaustive_search(
         raise UnsupportedRangeError(f"need at least 2 monomials, got n={n}")
     if budget < 1:
         raise UnsupportedRangeError(f"budget must be positive, got {budget}")
+    if jobs is not None and jobs < 1:
+        raise UnsupportedRangeError(f"jobs must be at least 1, got {jobs}")
     if N > MAX_SEARCH_N:
         raise UnsupportedRangeError(
             f"search supports N <= {MAX_SEARCH_N}, got N={N}: the orbit filter "

@@ -109,6 +109,24 @@ def test_check_errors_exit_one(tmp_path, capsys):
     assert cli.main(["check", "--inline", "x0^2 x1, x0 x1^2"]) == 1
 
 
+def test_undecodable_input_exits_one(tmp_path, capsys):
+    path = tmp_path / "family.txt"
+    path.write_bytes(b"\xff\xfe")
+    for command in ("check", "render"):
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    # A strict stdin decoder fails on the read itself.
+    proc = subprocess.run(
+        [sys.executable, "-m", "syzstab.cli", "check", "-"],
+        input=b"\xff\xfe",
+        capture_output=True,
+        timeout=60,
+        env={**CHILD_ENV, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot read -: ")
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main(["check"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -354,25 +372,14 @@ def run_fresh(*args, stdin=None):
         (("generate", "2", "10", "4"), 0),
         (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), 3),
         (("check", "--inline", "x0^2, x1^3, x0 x1^2"), 2),
-    ],
-)
-def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
-    proc, loaded = run_fresh(*args, stdin=SEMISTABLE_TEXT)
-    assert proc.returncode == rc, proc.stderr
-    assert "numpy" not in loaded
-    assert "concurrent.futures.process" not in loaded
-
-
-@pytest.mark.parametrize(
-    "args, rc",
-    [
         (("check", "--json", "-"), 0),
         (("generate", "2", "10", "4", "--check"), 0),
         (("search", "2", "2", "5"), 0),
     ],
 )
-def test_lattice_scan_paths_do_not_load_numpy(args, rc):
-    # The package imports no numpy at all; these paths run the lattice scan.
+def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
+    # The package imports no numpy at all, the lattice scan (the last three
+    # paths) included, and a serial run loads no process pool.
     proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
     assert proc.returncode == rc, proc.stderr
     assert "numpy" not in loaded

@@ -347,23 +347,25 @@ def test_lattice_scan_skips_unused_variables():
     fam = MonomialFamily.of([(2, 0) + pad, (0, 2) + pad, (1, 1) + pad])
     box = criterion._lattice_box(fam, 2)
     assert box == (2, 2) + (1,) * 2998
-    x0, x1 = (1, 0) + pad, (0, 1) + pad
+    # Members in canonical order: x0^2, x0 x1, x1^2; x0 divides the first
+    # two (mask 0b011), x1 the last two (mask 0b110).
     candidates = sorted(criterion._grid_candidates(fam, 2, box))
-    assert candidates == [(-3, 1, x1, 2), (-3, 1, x0, 2)]
+    assert candidates == [(-3, 1, 0b011), (-3, 1, 0b110)]
     assert check_efficient(fam) == check_brute_force(fam)
 
 
 def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
-    """Reference for the lattice scan: count the multiples of every divisor
+    """Reference for the lattice scan: find the multiples of every divisor
     of degree 1..d-1 by comparing it with every member."""
     n, v = family.n, family.var_count
     members = [m.exponents for m in family.members]
     out = []
     for t in range(1, d):
         for g in exponent_vectors_of_degree(v, t):
-            k = sum(all(map(le, g, e)) for e in members)
+            mask = sum(1 << i for i, e in enumerate(members) if all(map(le, g, e)))
+            k = mask.bit_count()
             if k >= 2 and (d - t) * n + t - d * k <= 0:
-                out.append((t - d * k, k - 1, g, k))
+                out.append((t - d * k, k - 1, mask))
     return out
 
 

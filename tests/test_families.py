@@ -301,7 +301,9 @@ def test_pure_powers():
     fam, recipe = generate_pure_powers(4, 6)
     assert recipe.source == "PurePowers"
     assert_well_formed(fam, recipe, 4, 5, 6)
-    assert all(m.is_pure_power for m in fam.members)
+    assert fam.to_json_dict()["members"] == [
+        [6 if i == j else 0 for i in range(5)] for j in range(5)
+    ]
 
 
 def test_full_set():

@@ -10,9 +10,9 @@ import syzstab
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_sweep(*args):
+def run_script(name, *args):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_sweep.py"), *args],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         timeout=60,
@@ -24,7 +24,7 @@ def test_sweep_script_checks_every_cell():
     # N = 2 has C(d+2, 2) - 2 plane sizes: 1 + 4 + 8 + 13 for d = 1..4.
     # N = 3 has sizes 4..C(d+2, 2)+1 plus the full set C(d+3, 3) whenever it
     # lies above them: 1 + 5 + 9 + 14.
-    proc = run_sweep("--dims", "2", "3", "--d-max", "4")
+    proc = run_script("run_sweep.py", "--dims", "2", "3", "--d-max", "4")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "total: 55 families"
@@ -38,12 +38,23 @@ def test_sweep_script_checks_every_cell():
         (["--dims", "2", "1"], "--dims must all be at least 2"),
         (["--d-min", "0"], "--d-min must be at least 1"),
         (["--d-min", "5", "--d-max", "4"], "--d-max must be at least --d-min"),
+        (["--jobs", "0"], "--jobs must be at least 1"),
     ],
 )
 def test_sweep_script_rejects_bad_flags_before_any_cell(args, message):
-    # No construction covers N < 2 or d < 1, and an empty degree range
-    # sweeps nothing; each is refused before the first cell runs.
-    proc = run_sweep(*args)
+    # No construction covers N < 2 or d < 1, an empty degree range sweeps
+    # nothing and no worker count below one runs anything; each is refused
+    # before the first cell runs.
+    proc = run_script("run_sweep.py", *args)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_oracle_fuzz_script_agrees():
+    # The one tool that runs every family through the gcd-closure scan too.
+    proc = run_script("run_oracle_fuzz.py", "--samples", "200", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seed: 1"
+    assert lines[-1] == "all verdicts agree; all witnesses re-validate"

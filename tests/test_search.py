@@ -193,6 +193,16 @@ def test_resume_token_validation():
         {"best_status": None},
         {"best_family": [[3, 0, 0]]},
         {"best_family": [["x", 0, 3]] * 6},
+        # Well-shaped families the search never writes: repeated or
+        # descending vectors, or a pure power missing.
+        {"best_family": [[0, 0, 3]] * 6},
+        {"best_family": state["best_family"][::-1]},
+        {"best_family": [[0, 0, 3], [0, 1, 2], [0, 3, 0], [1, 1, 1], [1, 2, 0],
+                         [2, 1, 0]]},
+        # A family whose status is not the claimed one.
+        {"best_status": "semistable-only"},
+        {"best_family": [[0, 0, 3], [0, 3, 0], [1, 2, 0], [2, 0, 1], [2, 1, 0],
+                         [3, 0, 0]]},
     ]
     without_n = {k: v for k, v in state.items() if k != "N"}
     tokens = [json.dumps({**state, **edit}) for edit in edits] + [
@@ -201,6 +211,14 @@ def test_resume_token_validation():
     for token in tokens:
         with pytest.raises(Error):
             exhaustive_search(2, 3, 6, resume_token=token)
+    # Every check runs before the first partition: no progress is streamed.
+    position = json.loads(exhaustive_search(2, 2, 4, budget=1).resume_token)
+    for family in ([[0, 0, 2]] * 4, [[0, 0, 2], [0, 1, 1], [0, 2, 0], [1, 0, 1]]):
+        token = json.dumps({**position, "best_status": "stable", "best_family": family})
+        records = []
+        with pytest.raises(Error, match="malformed resume token: best_family"):
+            exhaustive_search(2, 2, 4, progress=records.append, resume_token=token)
+        assert records == []
     # With no free member to choose, the one family sits at position (0, 0).
     pure = {**state, "n": 3, "best_status": None, "best_family": None}
     for position in ({"partition": 1, "offset": 0}, {"partition": 0, "offset": 1}):
@@ -217,6 +235,8 @@ def test_parameter_validation():
         exhaustive_search(2, 3, 1)
     with pytest.raises(UnsupportedRangeError):
         exhaustive_search(2, 3, 6, budget=0)
+    with pytest.raises(UnsupportedRangeError):
+        exhaustive_search(2, 3, 6, jobs=0)
 
 
 def test_oversized_request_is_empty():
