@@ -10,39 +10,37 @@ output carries an explicit ``schema_version``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
-from typing import Optional
 
-from .criterion import (
-    Stability,
-    StabilityVerdict,
-    SubsetWitness,
-    check_brute_force,
-    check_efficient,
+from .errors import (
+    CapacityError,
+    Error,
+    FamilyFormatError,
+    InvalidFamilyError,
+    MismatchedVariablesError,
 )
-from .errors import Error, FamilyFormatError, InvalidFamilyError, MismatchedVariablesError
-from .families import generate
-from .moduli import cohomology_table
-from .monomial import MonomialFamily
-from .search import (
-    DEFAULT_BUDGET,
-    MAX_SEARCH_MONOMIALS,
-    MAX_SEARCH_N,
-    exhaustive_search,
-)
+
+# Each subcommand imports the modules it runs when it runs, so that a
+# process loads only those.  The names below are for annotations only.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .criterion import StabilityVerdict, SubsetWitness
+    from .monomial import MonomialFamily
 
 SCHEMA_VERSION = 1
 
 MEMBER_GLYPH = "*"
 EMPTY_GLYPH = "o"
 
-_EXIT_BY_STATUS = {
-    Stability.STABLE: 0,
-    Stability.SEMISTABLE_ONLY: 2,
-    Stability.UNSTABLE: 3,
-}
+# Keyed by ``Stability`` value, so that building it needs no checker.
+_EXIT_BY_STATUS = {"stable": 0, "semistable-only": 2, "unstable": 3}
+
+# The search's limits, shown by ``search --help``.  Copied from
+# ``syzstab.search`` so that building the parser does not import the
+# search; a test ties each copy to its definition.
+DEFAULT_BUDGET = 10**7
+MAX_SEARCH_N = 9
+MAX_SEARCH_MONOMIALS = 10**6
 
 
 # -- triangle rendering -------------------------------------------------
@@ -53,7 +51,10 @@ def render_triangle(family: MonomialFamily) -> tuple[str, ...]:
     Row l (l = 0 is the apex) shows the monomials X0^a X1^(l-a) X2^(d-l)
     with a descending left to right, so the bottom row runs X0^d ... X1^d
     and the apex is X2^d.  Members are drawn as '*', the rest as 'o'.
+    Triangles of more than ``MAX_FAMILY_CELLS`` cells are refused.
     """
+    from .monomial import MAX_FAMILY_CELLS
+
     if family.var_count != 3:
         raise MismatchedVariablesError(
             f"triangle rendering needs exactly 3 variables, family has "
@@ -66,6 +67,12 @@ def render_triangle(family: MonomialFamily) -> tuple[str, ...]:
             f"{sorted(degrees)}"
         )
     d = degrees.pop()
+    cells = (d + 1) * (d + 2) // 2
+    if cells > MAX_FAMILY_CELLS:
+        raise CapacityError(
+            f"triangle of degree {d} has {cells} cells, more than the limit "
+            f"of {MAX_FAMILY_CELLS}"
+        )
     members = {m.exponents for m in family.members}
     rows = []
     for l in range(d + 1):
@@ -79,7 +86,9 @@ def render_triangle(family: MonomialFamily) -> tuple[str, ...]:
 
 # -- shared helpers -----------------------------------------------------
 
-def _load_family(path: Optional[str], inline: Optional[str]) -> MonomialFamily:
+def _load_family(path: str | None, inline: str | None) -> MonomialFamily:
+    from .monomial import MonomialFamily
+
     if inline is not None:
         parts = [p.strip() for p in inline.replace(";", ",").split(",") if p.strip()]
         return MonomialFamily.from_text("\n".join(parts))
@@ -116,12 +125,16 @@ def _print_verdict(family: MonomialFamily, verdict: StabilityVerdict) -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
 
 
 # -- subcommands --------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .criterion import check_brute_force, check_efficient
+
     family = _load_family(args.path, args.inline)
     verdict = check_brute_force(family) if args.brute else check_efficient(family)
     if verdict.criterion_value_only:
@@ -134,12 +147,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         _emit_json(verdict.to_json_dict())
     else:
         _print_verdict(family, verdict)
-    return _EXIT_BY_STATUS[verdict.status]
+    return _EXIT_BY_STATUS[verdict.status.value]
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .families import generate
+
     family, recipe = generate(args.N, args.n, args.d)
-    verdict = check_efficient(family) if args.check else None
+    verdict = None
+    if args.check:
+        from .criterion import check_efficient
+
+        verdict = check_efficient(family)
     triangle = render_triangle(family) if args.render else None
     if args.json:
         payload = {"family": family.to_json_dict(), "recipe": recipe.to_json_dict()}
@@ -158,6 +177,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_moduli(args: argparse.Namespace) -> int:
+    from dataclasses import fields
+
+    from .moduli import cohomology_table
+
     report = cohomology_table(args.N, args.n, args.d)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -168,6 +191,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import exhaustive_search
+
     def emit(record: dict) -> None:
         _emit_json(record)
         sys.stdout.flush()
@@ -314,7 +339,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

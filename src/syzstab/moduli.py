@@ -5,16 +5,31 @@ bundle, and the dimension of the moduli component the bundle sits on.
 All formulas assume the syzygy bundle is stable, which holds in the size
 range N+1 <= n <= (d+2)(d+1)/2 + N - 2 except for the plane count
 (n, d) = (5, 2) and, pending separate treatment, the three-dimensional
-base N = 3; asking for those raises ``ExcludedCaseError``.
+base N = 3; asking for those raises ``ExcludedCaseError``.  Parameters
+whose invariants have more digits than Python converts to text by default
+raise ``UnsupportedRangeError``, before any binomial too long to print is
+computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
 from .errors import ExcludedCaseError, UnsupportedRangeError
+
+#: Most decimal digits an invariant may have: ``str`` and ``json`` refuse
+#: to convert a longer int under the interpreter's default limit.
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_UNPRINTABLE = 10**MAX_DIGITS
+
+
+def _too_long(what: str) -> UnsupportedRangeError:
+    return UnsupportedRangeError(
+        f"{what} has more than {MAX_DIGITS} digits, too many to print"
+    )
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,8 @@ def _validate_range(N: int, n: int, d: int) -> None:
         raise UnsupportedRangeError(f"degree must be at least 1, got {d}")
     upper = comb(d + 2, 2) + N - 2
     if not N + 1 <= n <= upper:
+        if upper >= _UNPRINTABLE:
+            raise _too_long("the largest n the formulas cover")
         raise UnsupportedRangeError(
             f"formulas cover {N + 1} <= n <= {upper} for N={N}, d={d}; got n={n}"
         )
@@ -98,11 +115,19 @@ def cohomology_table(N: int, n: int, d: int) -> ModuliReport:
     obstructions make it the dimension of the moduli component.
     """
     _validate_range(N, n, d)
+    # C(N+d, d) >= ((N+d)/m)^m >= 2^((bits of q - 1) * m), with m = min(N, d)
+    # and q = (N+d) // m >= 2.  Refusing here keeps comb from building a
+    # number that could not be printed, which takes about 40 s at
+    # N = d = 10^6.  Below the bound, C(N+d, d) <= (e(N+d)/m)^m has fewer
+    # than 20,000 digits, and the report's own values are checked exactly.
+    m = min(N, d)
+    if (((N + d) // m).bit_length() - 1) * m >= _UNPRINTABLE.bit_length():
+        raise _too_long("C(N+d, d)")
     h1_twist = comb(N + d, d) - n
     h2 = n * comb(d - 1, 2) if N == 2 else 0
     ext1 = n * h1_twist + h2
     _, slope = chern_and_slope(n, d)
-    return ModuliReport(
+    report = ModuliReport(
         N=N,
         n=n,
         d=d,
@@ -117,6 +142,12 @@ def cohomology_table(N: int, n: int, d: int) -> ModuliReport:
         ext1=ext1,
         component_dim=ext1,
     )
+    for field in fields(report):
+        value = getattr(report, field.name)
+        # An int is its own numerator, over the denominator 1.
+        if max(abs(value.numerator), value.denominator) >= _UNPRINTABLE:
+            raise _too_long(field.name)
+    return report
 
 
 def moduli_dimension(N: int, n: int, d: int) -> int:

@@ -91,6 +91,17 @@ class Monomial:
         return " ".join(parts)
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` for a run of digits, refusing as a ``FamilyFormatError``
+    what ``int`` cannot read: more digits than Python converts by default,
+    or a character such as '²' that ``str.isdigit`` accepts."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"of {len(text)} digits"
+        raise FamilyFormatError(f"cannot read number {shown}") from None
+
+
 def _parse_member_line(line: str):
     """Classify one member line; returns (kind, payload)."""
     tokens = line.split()
@@ -99,14 +110,14 @@ def _parse_member_line(line: str):
     if tokens == ["1"]:
         return "unit", None
     if all(tok.isdigit() for tok in tokens):
-        return "vector", [int(tok) for tok in tokens]
+        return "vector", [_parse_int(tok) for tok in tokens]
     pairs = []
     for tok in tokens:
         m = _TOKEN_RE.match(tok)
         if m is None:
             raise FamilyFormatError(f"unrecognized token {tok!r}")
-        index = int(m.group(1))
-        exponent = 1 if m.group(2) is None else int(m.group(2))
+        index = _parse_int(m.group(1))
+        exponent = 1 if m.group(2) is None else _parse_int(m.group(2))
         pairs.append((index, exponent))
     return "compact", pairs
 
@@ -264,7 +275,10 @@ class MonomialFamily:
                     raise FamilyFormatError(
                         f"line {lineno}: vars= header must come first"
                     )
-                var_count = int(header.group(1))
+                try:
+                    var_count = _parse_int(header.group(1))
+                except FamilyFormatError as err:
+                    raise FamilyFormatError(f"line {lineno}: {err}") from None
                 if var_count < 2:
                     raise FamilyFormatError("vars= must be at least 2")
                 continue

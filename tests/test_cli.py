@@ -3,11 +3,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-from syzstab import cli
+import syzstab
+from syzstab import cli, search
 from syzstab.families import generate_P2
 from syzstab.monomial import MonomialFamily
 from syzstab.search import exhaustive_search
@@ -97,6 +100,28 @@ def test_check_degree_over_cap_exits_one(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 1:")
     assert "exceeds the limit" in err
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "members, line",
+    [
+        ((f"x0^{LONG}", "x1"), 1),  # exponent
+        (("1 0", f"0 {LONG}"), 2),  # bare-vector entry
+        ((f"vars={LONG}", "x0", "x1"), 1),  # vars= value
+        (("x0", f"x{LONG}"), 2),  # variable index
+    ],
+)
+def test_overlong_numbers_exit_one(tmp_path, capsys, members, line):
+    # int() refuses more than 4,300 digits; that ended in a traceback.
+    path = write(tmp_path, "\n".join(members) + "\n")
+    for args in (["check", "--inline", ", ".join(members)], ["check", path]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {line}: cannot read number of 5000 digits\n"
+        )
 
 
 def test_check_errors_exit_one(tmp_path, capsys):
@@ -197,6 +222,28 @@ def test_moduli_json(capsys):
 def test_moduli_excluded_exit_one(capsys):
     assert cli.main(["moduli", "3", "5", "2"]) == 1
     assert cli.main(["moduli", "2", "5", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("100000", "100001", "100000"),
+        ("100000", "100001", "100000", "--json"),
+        ("2", "4", "1" + "0" * 2200),
+        ("1000000", "1000001", "1000000"),
+    ],
+)
+def test_moduli_too_long_to_print_exits_one(args):
+    # The first three printed a ValueError traceback; the last first spent
+    # about 40 s in comb.
+    start = time.perf_counter()
+    proc = run_cli_limited(["moduli", *args])
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: C(N+d, d) has more than 4300 digits, too many to print\n"
+    )
 
 
 def test_search_emits_jsonl(capsys):
@@ -338,13 +385,15 @@ def test_deep_induction_is_one_pass():
 
 
 # Runs ``syzstab ARGS`` in a fresh interpreter, when given any, and reports
-# on its last stderr line which of numpy and the process pool were loaded.
+# on its last stderr line which of numpy, the process pool and the package's
+# modules were loaded.
 LOADED_PROBE = """
 import sys
 from syzstab import cli
 rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 heavy = ("numpy", "concurrent.futures.process")
-print("loaded:", *(m for m in heavy if m in sys.modules), file=sys.stderr)
+own = sorted(m for m in sys.modules if m.startswith("syzstab."))
+print("loaded:", *(m for m in heavy if m in sys.modules), *own, file=sys.stderr)
 sys.exit(rc)
 """
 
@@ -384,6 +433,86 @@ def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
     assert proc.returncode == rc, proc.stderr
     assert "numpy" not in loaded
     assert "concurrent.futures.process" not in loaded
+
+
+BASE = {"syzstab.cli", "syzstab.errors"}
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        ((), set()),
+        (("moduli", "2", "4", "3"), {"moduli"}),
+        (("moduli", "2", "4", "3", "--json"), {"moduli"}),
+        (("render", "-"), {"monomial"}),
+        (("generate", "2", "10", "4"), {"families", "monomial"}),
+        (("generate", "2", "10", "4", "--check"), {"families", "monomial", "criterion"}),
+        (("check", "--json", "-"), {"criterion", "monomial"}),
+        (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), {"criterion", "monomial"}),
+        (("search", "2", "2", "5"), {"search", "criterion", "monomial"}),
+    ],
+)
+def test_each_subcommand_loads_only_its_modules(args, modules):
+    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
+    assert proc.returncode in (0, 3), proc.stderr
+    assert {m for m in loaded if m.startswith("syzstab.")} == BASE | {
+        f"syzstab.{m}" for m in modules
+    }
+
+
+def test_import_loads_no_submodule():
+    probe = (
+        "import sys, syzstab\n"
+        "print(*(m for m in sys.modules if m.startswith('syzstab.')))\n"
+        "from syzstab import criterion\n"  # falls back to the submodule
+        "print(criterion.__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=60, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\nsyzstab.criterion\n"
+
+
+def test_public_names_resolve_to_their_home_modules():
+    homes = {
+        "criterion": {"Stability", "StabilityVerdict", "SubsetWitness", "a_seq",
+                      "check_brute_force", "check_efficient", "equal_degree_margin",
+                      "family_slope", "gcd_closure", "subset_quotient",
+                      "verify_verdict"},
+        "errors": {"CapacityError", "CommonFactorError", "DuplicateMemberError",
+                   "Error", "ExcludedCaseError", "FamilyFormatError",
+                   "InvalidFamilyError", "InvalidVerdictError",
+                   "MismatchedVariablesError", "UnsupportedRangeError"},
+        "families": {"FamilyRecipe", "generate", "generate_P2", "generate_P31",
+                     "generate_P32", "generate_P33", "generate_P34",
+                     "generate_full_set", "generate_pure_powers"},
+        "moduli": {"ModuliReport", "chern_and_slope", "cohomology_table",
+                   "moduli_dimension"},
+        "monomial": {"Monomial", "MonomialFamily", "exponent_vectors_of_degree"},
+        "search": {"SearchReport", "exhaustive_search"},
+    }
+    names = [name for group in homes.values() for name in group]
+    assert sorted(syzstab.__all__) == sorted(names + ["__version__"])
+    for module, group in homes.items():
+        home = import_module(f"syzstab.{module}")
+        for name in group:
+            assert getattr(syzstab, name) is getattr(home, name)
+    assert set(syzstab.__all__) <= set(dir(syzstab))
+    star: dict = {}
+    exec("from syzstab import *", star)
+    assert {k for k in star if k != "__builtins__"} == set(syzstab.__all__)
+    assert star["check_efficient"] is syzstab.check_efficient
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        syzstab.no_such_name
+
+
+def test_search_limit_copies_match_the_search():
+    # The parser shows these without importing the search.
+    assert cli.DEFAULT_BUDGET == search.DEFAULT_BUDGET
+    assert cli.MAX_SEARCH_N == search.MAX_SEARCH_N
+    assert cli.MAX_SEARCH_MONOMIALS == search.MAX_SEARCH_MONOMIALS
 
 
 def test_serial_search_does_not_load_the_pool():
@@ -450,6 +579,29 @@ def test_render_draws_literal_rows(tmp_path, capsys):
         " o o o o\n"
         "* * * * *\n"
     )
+
+
+@pytest.mark.parametrize("source", ["render", "generate"])
+def test_render_refuses_triangles_over_the_cell_cap(tmp_path, source):
+    # 450,045,001 glyphs, which ran out of memory under the limit; refused
+    # before any row is built.
+    path = write(tmp_path, "x0^30000\nx1^30000\nx2^30000\n")
+    args = ["render", path] if source == "render" else ["generate", "2", "3", "30000", "--render"]
+    proc = run_cli_limited(args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: triangle of degree 30000 has 450045001 cells, more than the "
+        "limit of 1000000\n"
+    )
+
+
+def test_render_cell_cap_boundary(capsys):
+    # d = 1,412 has 998,991 cells and d = 1,413 has 1,000,405.
+    assert cli.main(["generate", "2", "3", "1412", "--render"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4 + 1413
+    assert cli.main(["generate", "2", "3", "1413", "--render"]) == 1
+    assert "1000405 cells" in capsys.readouterr().err
 
 
 def test_render_rejects_other_dimensions(tmp_path, capsys):

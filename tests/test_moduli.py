@@ -87,6 +87,29 @@ def test_unsupported_ranges():
         cohomology_table(4, 6, 0)
 
 
+def test_refuses_invariants_too_long_to_print():
+    # Printing any of these ended in a ValueError; the third first spent
+    # about 40 s in comb.  The binomial bound refuses them before comb runs.
+    for N, n, d in (
+        (100_000, 100_001, 100_000),
+        (2, 4, 10**2200),
+        (1_000_000, 1_000_001, 1_000_000),
+    ):
+        with pytest.raises(UnsupportedRangeError, match="C\\(N\\+d, d\\) has more"):
+            cohomology_table(N, n, d)
+    # Below that bound the report's values are checked exactly: h2 and ext1
+    # have 4,301 digits here, and 4,300, the most that prints, just below.
+    with pytest.raises(UnsupportedRangeError, match="h2 has more than 4300 digits"):
+        cohomology_table(2, 4, 10**2150)
+    d = 5 * 10**2149
+    report = cohomology_table(2, 4, d)
+    assert len(str(report.ext1)) == 4300
+    assert report.ext1 == 4 * comb(d + 2, 2) + 4 * comb(d - 1, 2) - 16
+    # The out-of-range message would print the bound on n itself.
+    with pytest.raises(UnsupportedRangeError, match="largest n"):
+        cohomology_table(2, 2, 10**2200)
+
+
 def test_json_shape():
     out = cohomology_table(2, 4, 3).to_json_dict()
     assert out == {

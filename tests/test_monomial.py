@@ -72,6 +72,11 @@ def test_parse_and_str_forms():
             MonomialFamily.from_text(text)
         with pytest.raises(FamilyFormatError):
             Monomial.parse(text)
+    # int() refuses more than 4,300 digits, and '²' passes str.isdigit.
+    long = "9" * 5000
+    for text in (f"x0^{long} x1", f"{long} 0", f"x{long}", "² 0"):
+        with pytest.raises(FamilyFormatError, match="cannot read number"):
+            Monomial.parse(text)
 
 
 # Parses a huge inferred and a huge pinned variable count in a child
