@@ -6,8 +6,9 @@ it contains every pure power X_i^d, so the search space is "pure powers
 plus an n-(N+1)-subset of the remaining degree-d monomials".  The free
 monomials are indexed in canonical order and the subset space is
 partitioned by the smallest chosen index, which gives deterministic
-enumeration, cheap parallelism (partitions share nothing), and a natural
-checkpoint token (partition, offset within partition).
+enumeration, cheap parallelism (partitions share only the space of free
+monomials and filter lanes, built once by each search or pool worker),
+and a natural checkpoint token (partition, offset within partition).
 
 Families related by a permutation of the variables have the same verdict,
 so only orbit representatives are checked: a family is checked iff its
@@ -22,6 +23,17 @@ never decide it; free monomials are indexed in descending order, so a
 permutation pi gives a smaller sequence exactly when
 M(pi(C)) > M(C), where M(C) = sum of 2^c over c in C.
 
+The filter decides this for many permutations at once.  Each kept
+permutation pi owns a lane of F+1 bits, F the number of free monomials,
+and ``packed[c]`` holds ``1 << index(pi(free[c]))`` in every lane, so the
+sum of ``packed[c]`` over c in C holds M(pi(C)) in each lane, without
+carries, since pi permutes the free indices.  The first lane belongs to
+the identity and holds M(C).  Adding the top bit of each lane, the guard,
+and subtracting (M(C) + 1) from every lane leaves each lane in
+[0, 2^(F+1) - 2], so no borrow crosses lanes, and a guard bit stays set
+exactly where M(pi(C)) > M(C).  That takes k big-int additions per block
+of lanes for k chosen indices, and no Python loop over permutations.
+
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
 """
@@ -33,12 +45,12 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from math import comb
+from math import comb, factorial
 from typing import Callable, Optional
 
 from .criterion import Stability, check_efficient
 from .errors import Error, UnsupportedRangeError
-from .monomial import MonomialFamily, exponent_vectors_of_degree
+from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
@@ -57,10 +69,17 @@ NONE_SEMISTABLE = "none-semistable"
 #: with exponents None at rank 0.
 _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 
-#: Most bits of orbit-filter rows that one partition scan keeps, counted as
-#: F^2 per row of F free monomials; rows past them are recomputed for each
+#: Most bits of orbit-filter lanes that one search keeps, counted as F^2
+#: per kept permutation of F free monomials: the lane of permutation pi
+#: holds M(pi(C)) in F bits and a guard bit above them, in each packed
+#: entry of a block.  Permutations past them are recomputed for each
 #: family, at its chosen indices only.
 _ROW_BITS = 1 << 22
+
+#: Lanes per block of the orbit filter.  A block is built the first time a
+#: family reaches it, so a family rejected by an early block never pays for
+#: the later ones.
+_BLOCK = 32
 
 #: Resume token fields, in the order they are written.
 _TOKEN_KEYS = (
@@ -104,41 +123,130 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
     return [v for v in exponent_vectors_of_degree(N + 1, d) if d not in v]
 
 
-def _orbit_rows(N: int, free: list[tuple[int, ...]]):
-    """Return ``rows(chosen)``, which yields for every non-identity axis
-    permutation pi, in ``permutations`` order, a row mapping each free index
-    c to ``1 << (index of pi(free[c]))``.  The first rows, up to
-    ``_ROW_BITS`` bits, are computed once and shared by every call; later
-    rows are computed per call, and only at the indices in ``chosen``."""
-    index = {v: i for i, v in enumerate(free)}
-    perms = permutations(range(N + 1))
-    next(perms)  # the identity
-    keep = _ROW_BITS // max(len(free), 1) ** 2
-    kept: list[list[int]] = []
+class _Space:
+    """The search space of one (N, d): the free monomials and their index,
+    the pure powers, a ``Monomial`` for each free index that a checked
+    family uses, and the orbit filter's blocks of permutation lanes.  One is
+    built for each search, or for each worker of a pooled one, and none
+    outlives it.  Lanes and ``Monomial``s are built on first use, so a
+    family rejected by its first block builds no other."""
 
-    def rows(chosen: tuple[int, ...]):
-        yield from kept
-        while len(kept) < keep:
-            perm = next(perms, None)
-            if perm is None:
-                return
-            kept.append([1 << index[tuple(e[i] for i in perm)] for e in free])
-            yield kept[-1]
-        for perm in islice(permutations(range(N + 1)), keep + 1, None):
-            yield {c: 1 << index[tuple(free[c][i] for i in perm)] for c in chosen}
+    def __init__(self, N: int, d: int):
+        self.N = N
+        self.free = _free_monomials(N, d)
+        self.index = {v: i for i, v in enumerate(self.free)}
+        self.pure_exps = [
+            tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)
+        ]
+        self.pure = tuple(map(Monomial, self.pure_exps))
+        self.monomials: dict[int, Monomial] = {}
+        free_count = len(self.free)
+        keep = _ROW_BITS // max(free_count, 1) ** 2
+        self.perm_count = factorial(N + 1)
+        # Lane 0 is the identity's and holds M(C).  It is built only with a
+        # kept permutation beside it, since every lane costs about F^2 bits.
+        self.lanes = min(keep + 1, self.perm_count) if keep else 0
+        self.block_size = size = _BLOCK
+        self.block_count = -(-self.lanes // size)
+        self.width = free_count + 1
+        self.lane_mask = (1 << free_count) - 1
+        # Lane ones of the widest block, which serve every narrower one.
+        self.ones = sum(
+            1 << s for s in range(0, min(self.lanes, size) * self.width, self.width)
+        )
+        self.blocks: list[tuple[list[int], int, int]] = []
+        self._perms = permutations(range(N + 1))
 
-    return rows
+    def grow(self) -> None:
+        """Append the next block: ``(packed, guards, guards - ones)``, where
+        ``packed[c]`` holds ``1 << index(pi(free[c]))`` in the lane of each
+        of the block's permutations pi, and ``guards`` the top bit of each
+        of its lanes."""
+        count = min(self.block_size, self.lanes - len(self.blocks) * self.block_size)
+        perms = list(islice(self._perms, count))
+        shifts = range(0, count * self.width, self.width)
+        index = self.index
+        packed = [
+            sum(1 << (index[tuple(e[i] for i in perm)] + s)
+                for perm, s in zip(perms, shifts))
+            for e in self.free
+        ]
+        guards = sum(1 << (self.width - 1 + s) for s in shifts)
+        self.blocks.append((packed, guards, guards - self.ones))
+
+    def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
+        """Enumerate one partition, ``job = (k, partition, skip, limit)``:
+        from offset ``skip``, at most ``limit`` families of k chosen free
+        monomials.  Return (families, orbits, best (rank, exponents)
+        result)."""
+        k, partition, skip, limit = job
+        if k == 0:
+            tails = iter([()])
+        else:
+            tails = combinations(range(partition + 1, len(self.free)), k - 1)
+        free, monomials = self.free, self.monomials
+        families = 0
+        orbits = 0
+        best = (0, None)
+        for tail in islice(tails, skip, skip + limit):
+            families += 1
+            chosen = (partition, *tail) if k else ()
+            if not _is_representative(chosen, self):
+                continue
+            orbits += 1
+            for c in chosen:
+                if c not in monomials:
+                    monomials[c] = Monomial(free[c])
+            members = self.pure + tuple(map(monomials.__getitem__, chosen))
+            status = check_efficient(MonomialFamily(self.N + 1, members)).status.value
+            if status in _RANKED:
+                exps = tuple(sorted(self.pure_exps + [free[c] for c in chosen]))
+                best = _better(best, (_RANKED.index(status), exps))
+        return families, orbits, best
 
 
-def _is_representative(chosen: tuple[int, ...], rows) -> bool:
+def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
     """True iff no axis permutation maps the chosen free indices C to a
-    larger M(C): with C empty there is nothing to permute."""
+    larger M(C): with C empty there is nothing to permute.  One sum tests
+    each block of lanes, as the module docstring explains; permutations
+    past the lanes are recomputed at the chosen indices."""
     if not chosen:
         return True
-    mask = sum(1 << c for c in chosen)
-    return not any(
-        sum(map(row.__getitem__, chosen)) > mask for row in rows(chosen)
-    )
+    blocks = space.blocks
+    spread = None
+    for b in range(space.block_count):
+        if b == len(blocks):
+            space.grow()
+        packed, guards, bias = blocks[b]
+        total = sum(map(packed.__getitem__, chosen))
+        if spread is None:
+            mask = total & space.lane_mask
+            spread = mask * space.ones  # M(C) in every lane
+        if (total + bias - spread) & guards:
+            return False
+    if space.lanes == space.perm_count:
+        return True
+    if spread is None:
+        mask = sum(1 << c for c in chosen)
+    free, index = space.free, space.index
+    for perm in islice(permutations(range(space.N + 1)), max(space.lanes, 1), None):
+        if sum(1 << index[tuple(free[c][i] for i in perm)] for c in chosen) > mask:
+            return False
+    return True
+
+
+#: A pool worker's ``_Space``, built by ``_start_worker`` as the worker
+#: starts.  A pool lives for one search, so the space dies with it.
+_worker_space: Optional[_Space] = None
+
+
+def _start_worker(N: int, d: int) -> None:
+    global _worker_space
+    _worker_space = _Space(N, d)
+
+
+def _scan_in_worker(job: tuple[int, ...]) -> tuple[int, int, tuple]:
+    return _worker_space.scan(job)
 
 
 def _partition(free_count: int, k: int, idx: int) -> tuple[int, int]:
@@ -157,35 +265,6 @@ def _better(a: tuple, b: tuple) -> tuple:
     if a[0] != b[0]:
         return a if a[0] > b[0] else b
     return b if b[0] and b[1] < a[1] else a
-
-
-def _scan_partition(job: tuple[int, ...]) -> tuple[int, int, tuple]:
-    """Enumerate one partition, ``job = (N, d, n, partition, skip, limit)``:
-    from offset ``skip``, at most ``limit`` families.  Return (families,
-    orbits, best (rank, exponents) result)."""
-    N, d, n, partition, skip, limit = job
-    free = _free_monomials(N, d)
-    pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
-    rows = _orbit_rows(N, free)
-    k = n - (N + 1)
-    if k == 0:
-        tails = iter([()])
-    else:
-        tails = combinations(range(partition + 1, len(free)), k - 1)
-    families = 0
-    orbits = 0
-    best = (0, None)
-    for tail in islice(tails, skip, skip + limit):
-        families += 1
-        chosen = (partition, *tail) if k else ()
-        if not _is_representative(chosen, rows):
-            continue
-        orbits += 1
-        exps = tuple(sorted(pure + [free[c] for c in chosen]))
-        status = check_efficient(MonomialFamily.of(exps)).status.value
-        if status in _RANKED:
-            best = _better(best, (_RANKED.index(status), exps))
-    return families, orbits, best
 
 
 def _is_count(value) -> bool:
@@ -330,7 +409,7 @@ def exhaustive_search(
             truncated_at = (idx, skip)
             break
         cap = min(size - skip, remaining)
-        plan.append((N, d, n, p, skip, cap))
+        plan.append((k, p, skip, cap))
         remaining -= cap
         if cap < size - skip:
             truncated_at = (idx, skip + cap)
@@ -341,10 +420,15 @@ def exhaustive_search(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(
+            workers, initializer=_start_worker, initargs=(N, d)
+        )
     with pool as executor:
-        scan = executor.map if executor else map
-        for job, (fams, orbs, found) in zip(plan, scan(_scan_partition, plan)):
+        if executor:
+            results = executor.map(_scan_in_worker, plan)
+        else:
+            results = map(_Space(N, d).scan, plan) if plan else ()
+        for job, (fams, orbs, found) in zip(plan, results):
             families += fams
             orbits += orbs
             best = _better(best, found)
@@ -352,7 +436,7 @@ def exhaustive_search(
                 progress(
                     {
                         "event": "partition",
-                        "partition": job[3],
+                        "partition": job[1],
                         "families": fams,
                         "orbits": orbs,
                         "families_examined": families,

@@ -1,6 +1,9 @@
 import concurrent.futures
+import gc
 import json
+import weakref
 from itertools import permutations
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -130,8 +133,9 @@ def test_worker_count_is_capped_at_partitions_and_cpus(monkeypatch):
     created = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             created.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -142,8 +146,10 @@ def test_worker_count_is_capped_at_partitions_and_cpus(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    # The pool class is looked up only when more than one worker runs.
+    # The pool class is looked up only when more than one worker runs.  Its
+    # initializer builds the worker's space, here in this process.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search, "_worker_space", None)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     assert exhaustive_search(2, 3, 7, jobs=8) == exhaustive_search(2, 3, 7)
     assert created == [2]
@@ -258,6 +264,18 @@ def sorted_sequence_is_minimal(family_exps, perms):
     return True
 
 
+def sorted_sequence_filter(N):
+    """``_is_representative`` by ``sorted_sequence_is_minimal``, on the
+    exponents of the chosen free indices and the pure powers."""
+    perms = list(permutations(range(N + 1)))
+
+    def is_minimal(chosen, space):
+        exps = tuple(sorted(space.pure_exps + [space.free[c] for c in chosen]))
+        return sorted_sequence_is_minimal(exps, perms)
+
+    return is_minimal
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_bitmask_filter_matches_sorted_sequence_definition(data):
@@ -267,13 +285,18 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
     index = {v: i for i, v in enumerate(free)}
     pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
     perms = list(permutations(range(N + 1)))
-    # A cap of a few bits keeps 0, 1 or 3 rows and sends the rest down the
-    # recomputed path.
-    square = len(free) ** 2
-    bits = data.draw(st.sampled_from([search._ROW_BITS, 1, square, 3 * square]))
-    with patch.object(search, "_ROW_BITS", bits):
-        # Several families share one set of rows, as in a partition scan.
-        rows = search._orbit_rows(N, free)
+    # Blocks of 1, 2 or 32 lanes.  The identity's lane comes first, so caps
+    # keeping 1, 2, 3 or 40 permutations make 2, 3, 4 or 41 lanes (at most
+    # (N+1)!), and 3 and 41 end partway through a block of 2 or 32.  A cap
+    # of one bit keeps none.  Permutations past the cap are recomputed.
+    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    square = max(len(free), 1) ** 2
+    bits = data.draw(st.sampled_from(
+        [search._ROW_BITS, 1, square, 2 * square, 3 * square, 40 * square]
+    ))
+    with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
+        # Several families share one filter, as in a search.
+        space = search._Space(N, d)
         for _ in range(data.draw(st.integers(1, 4))):
             chosen = set()
             if free:
@@ -291,9 +314,65 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
                     chosen = grown
             chosen = tuple(sorted(chosen))
             exps = tuple(sorted(pure + [free[c] for c in chosen]))
-            assert search._is_representative(chosen, rows) == (
+            assert search._is_representative(chosen, space) == (
                 sorted_sequence_is_minimal(exps, perms)
             )
+
+
+def test_searches_match_the_sorted_sequence_filter(monkeypatch):
+    # Every (N <= 3, d <= 4, n) cut after 1 and after F - 1 families, and
+    # run whole where it has at most 2,000 families: (3, 3, 9..15) and
+    # (3, 4, 7..32) hold up to 3 * 10^8.
+    def run(N, d, n, budget):
+        records = []
+        report = exhaustive_search(N, d, n, budget, progress=records.append)
+        return json.dumps([report.to_json_dict(), records])
+
+    runs = []
+    for N in (1, 2, 3):
+        for d in (1, 2, 3, 4):
+            free_count = comb(N + d, N) - (N + 1)
+            for n in range(2, comb(N + d, N) + 1):
+                runs += [(N, d, n, 1), (N, d, n, max(free_count - 1, 1))]
+                if n <= N or comb(free_count, n - (N + 1)) <= 2000:
+                    runs.append((N, d, n, search.DEFAULT_BUDGET))
+    lanes = [run(*args) for args in runs]
+    reference = []
+    for args in runs:
+        monkeypatch.setattr(search, "_is_representative", sorted_sequence_filter(args[0]))
+        reference.append(run(*args))
+    assert lanes == reference
+
+
+def test_search_builds_one_space_and_keeps_nothing(monkeypatch):
+    built = []
+    grown = []
+
+    class Recorded(search._Space):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+        def grow(self):
+            grown.append(len(self.blocks))
+            super().grow()
+
+    monkeypatch.setattr(search, "_Space", Recorded)
+    records = []
+    serial = exhaustive_search(3, 3, 14, progress=records.append)
+    # 7 partitions, one space, and its one block of 24 lanes built once.
+    assert len(records) == 7
+    assert len(built) == 1
+    assert grown == [0]
+    gc.collect()
+    assert built[0]() is None
+    assert search._worker_space is None
+    # Two workers build a space each in their own process, none here.
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    pooled = []
+    assert exhaustive_search(3, 3, 14, progress=pooled.append, jobs=2) == serial
+    assert pooled == records
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("triple", [(3, 3, 14), (3, 3, 17), (4, 2, 10), (4, 2, 12)])
