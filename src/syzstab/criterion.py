@@ -19,9 +19,11 @@ used as bitsets, and each candidate is the mask of its subset's members
 For an equal-degree-d family, a lattice scan walks the cells of an
 exponent box (exponents clipped to d-1) depth-first, keeps the members
 divisible by the current cell as the bits of one int, and prunes every
-branch that can hold no candidate.  The scan is taken when the box
-has at most ``GRID_LIMIT`` cells; every other family takes the gcd
-closure, built over rank-coded thermometer ints whose AND is the gcd.  The
+branch that can hold no candidate.  That walk, ``_lattice_walk``, is
+shared: ``exhaustive_search`` runs it on its own masks to decide each
+orbit representative.  The scan is taken when the box has at most
+``GRID_LIMIT`` cells; every other family takes the gcd closure, built
+over rank-coded thermometer ints whose AND is the gcd.  The
 oracle visits at most ``BRUTE_BUDGET`` subsets and the closure holds at
 most ``CLOSURE_LIMIT`` gcds; both raise ``CapacityError`` beyond.  All
 three limits are read at call time.
@@ -417,20 +419,44 @@ def _scan_band(n: int, d: int, v: int) -> tuple[int, int]:
     return 0, n + 1
 
 
+def _lattice_walk(masks, depth, mask, t, n, d, top, k_min, out) -> None:
+    """Walk the cells of a lattice box depth-first, from axis ``depth`` down
+    to axis 0, appending to ``out`` every cell of degree 1..``top`` whose
+    multiples are a candidate of an n-member equal-degree-d family, as
+    (numerator, denominator, mask of the multiples) of its quotient; only
+    margins at or below zero.
+
+    ``masks[j][a]`` is the mask of the members whose exponent of the j-th
+    walked variable is at least a, from a = 0 up to the axis's last cell;
+    ``mask`` holds the multiples of the cell reached so far, of degree t,
+    and each step ANDs in one mask, so a cell's multiples are the bits of
+    its mask.  Raising an exponent raises the degree and drops multiples,
+    so a loop stops at the first cell outside ``_scan_band``'s bounds
+    (``top``, ``k_min``).  Bit positions are the caller's: ``check_efficient``
+    numbers members in canonical order, the search by free index."""
+    for above in masks[depth]:
+        below = mask & above
+        k = below.bit_count()
+        if t > top or k < k_min:
+            break
+        if depth:
+            _lattice_walk(masks, depth - 1, below, t, n, d, top, k_min, out)
+        elif t and (d - t) * n + t <= d * k:
+            out.append((t - d * k, k - 1, below))
+        t += 1
+
+
 def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
     """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
     full multiple set of size k >= 2, where the quotient is largest, as
     (numerator, denominator, mask of the multiples); only margins at or
     below zero.
 
-    Members are bits of an int.  ``ge[j][a]`` is the bitmask of members
-    whose exponent of x_j is at least a, for a below ``box[j]`` (one bucket
-    pass per column, then a suffix OR).  The walk visits the cells of
-    ``box`` depth-first over the variables and ANDs in one mask per step,
-    so a cell's multiples are the bits of its mask.  Raising an exponent
-    raises the degree and drops multiples, so a loop stops at the first
-    cell outside ``_scan_band``.  Axes of one cell hold only exponent 0 and
-    are not walked, so the depth stays below the number of axes a box of
+    Members are bits of an int.  One bucket pass per column, then a suffix
+    OR, gives the mask of members whose exponent of x_j is at least a, for
+    a below ``box[j]``, and ``_lattice_walk`` visits the cells of ``box``
+    over those masks.  Axes of one cell hold only exponent 0 and are not
+    walked, so the depth stays below the number of axes a box of
     ``GRID_LIMIT`` cells can have."""
     n = family.n
     top, k_min = _scan_band(n, d, len(box))
@@ -438,31 +464,18 @@ def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
         return []
     bits = [1 << i for i in range(n)]
     columns = zip(*(m.exponents for m in family.members))
-    ge = {}
-    for j, (column, size) in enumerate(zip(columns, box)):
+    ge = []
+    for column, size in zip(columns, box):
         if size > 1:
             masks, clip = [0] * size, size - 1
             for bit, e in zip(bits, column):
                 masks[e if e < clip else clip] |= bit
             for a in range(clip - 1, -1, -1):
                 masks[a] |= masks[a + 1]
-            ge[j] = masks
-    axes = list(ge)
-    last, out = len(axes) - 1, []
-
-    def walk(depth: int, mask: int, t: int) -> None:
-        for above in ge[axes[depth]]:
-            below = mask & above
-            k = below.bit_count()
-            if t > top or k < k_min:
-                break
-            if depth < last:
-                walk(depth + 1, below, t)
-            elif t and (d - t) * n + t <= d * k:
-                out.append((t - d * k, k - 1, below))
-            t += 1
-
-    walk(0, (1 << n) - 1, 0)
+            ge.append(masks)
+    ge.reverse()  # the walk runs from its last list down, so x_0 leads
+    out = []
+    _lattice_walk(ge, len(ge) - 1, (1 << n) - 1, 0, n, d, top, k_min, out)
     return out
 
 

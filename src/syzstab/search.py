@@ -7,8 +7,9 @@ plus an n-(N+1)-subset of the remaining degree-d monomials".  The free
 monomials are indexed in canonical order and the subset space is
 partitioned by the smallest chosen index, which gives deterministic
 enumeration, cheap parallelism (partitions share only the space of free
-monomials and filter lanes, built once by each search or pool worker),
-and a natural checkpoint token (partition, offset within partition).
+monomials, filter lanes and status masks, built once by each search or
+pool worker), and a natural checkpoint token (partition, offset within
+partition).
 
 Families related by a permutation of the variables have the same verdict,
 so only orbit representatives are checked: a family is checked iff its
@@ -34,6 +35,22 @@ and subtracting (M(C) + 1) from every lane leaves each lane in
 exactly where M(pi(C)) > M(C).  That takes k big-int additions per block
 of lanes for k chosen indices, and no Python loop over permutations.
 
+A representative's status comes from bit masks, with no family object.
+Every family of a search holds the pure powers, so its lattice box (see
+``criterion``) is d^(N+1) cells, d on every axis.  Where that fits
+``criterion.GRID_LIMIT``, read as the search starts, the space holds
+``ge[j][a]``: bit c set when free monomial c has an exponent of x_j of at
+least a, bit F+j for X_j^d, for 0 <= a <= d-1.  A family with chosen bits
+S (its free bits and the N+1 pure bits) walks ``criterion._lattice_walk``
+from S over those masks, which is the walk over ``ge[j][a] & S`` that
+``check_efficient`` would take on its own columns, with ``_scan_band``
+computed once per search.  Any candidate with a negative margin
+(d-t)*n + t - d*k makes the family unstable, else any candidate at all
+semistable-only, else it is stable.  Past the limit, where
+``check_efficient`` would take the gcd closure, each representative still
+goes through ``check_efficient``.  Either way only the reported best
+family, and a resume token's, is built as a ``MonomialFamily``.
+
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
 """
@@ -48,9 +65,10 @@ from itertools import combinations, islice, permutations
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .criterion import Stability, check_efficient
+from . import criterion
+from .criterion import Stability, _lattice_walk, _scan_band, check_efficient
 from .errors import Error, UnsupportedRangeError
-from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
@@ -125,21 +143,19 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
 
 class _Space:
     """The search space of one (N, d): the free monomials and their index,
-    the pure powers, a ``Monomial`` for each free index that a checked
-    family uses, and the orbit filter's blocks of permutation lanes.  One is
-    built for each search, or for each worker of a pooled one, and none
-    outlives it.  Lanes and ``Monomial``s are built on first use, so a
-    family rejected by its first block builds no other."""
+    the pure powers, the orbit filter's blocks of permutation lanes and,
+    when given n, the status masks of n-member families.  One is built for
+    each search, or for each worker of a pooled one, and none outlives it.
+    Lanes are built on first use, so a family rejected by its first block
+    builds no other."""
 
-    def __init__(self, N: int, d: int):
+    def __init__(self, N: int, d: int, n: Optional[int] = None):
         self.N = N
         self.free = _free_monomials(N, d)
         self.index = {v: i for i, v in enumerate(self.free)}
         self.pure_exps = [
             tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)
         ]
-        self.pure = tuple(map(Monomial, self.pure_exps))
-        self.monomials: dict[int, Monomial] = {}
         free_count = len(self.free)
         keep = _ROW_BITS // max(free_count, 1) ** 2
         self.perm_count = factorial(N + 1)
@@ -156,6 +172,24 @@ class _Space:
         )
         self.blocks: list[tuple[list[int], int, int]] = []
         self._perms = permutations(range(N + 1))
+        self.n, self.d = n, d
+        self.ge: Optional[list[list[int]]] = None
+        if n is not None:
+            self.band = _scan_band(n, d, N + 1)
+            self.pure_bits = ((1 << (N + 1)) - 1) << free_count
+            # ge[j][a]: free index c, or F + i for X_i^d, has an exponent of
+            # x_j of at least a.  Only X_j^d reaches d, and dropping that
+            # bucket after the suffix OR clips it at d - 1, as the lattice
+            # box clips.
+            bits = [1 << c for c in range(free_count + N + 1)]
+            self.ge = []
+            for column in zip(*self.free, *self.pure_exps):
+                masks = [0] * (d + 1)
+                for bit, e in zip(bits, column):
+                    masks[e] |= bit
+                for a in range(d - 1, -1, -1):
+                    masks[a] |= masks[a + 1]
+                self.ge.append(masks[:d])
 
     def grow(self) -> None:
         """Append the next block: ``(packed, guards, guards - ones)``, where
@@ -174,35 +208,61 @@ class _Space:
         guards = sum(1 << (self.width - 1 + s) for s in shifts)
         self.blocks.append((packed, guards, guards - self.ones))
 
+    def status(self, chosen: tuple[int, ...]) -> int:
+        """Rank in ``_RANKED`` (0 for unstable) of the family of the pure
+        powers and the chosen free indices.  With status masks, the lattice
+        walk runs over ``ge`` from the family's bits, and the candidates'
+        margins (d - t) * n + t - d * k decide; without, ``check_efficient``
+        does."""
+        if self.ge is None:
+            exps = self.pure_exps + [self.free[c] for c in chosen]
+            status = check_efficient(MonomialFamily.of(exps)).status.value
+            return _RANKED.index(status) if status in _RANKED else 0
+        n, d = self.n, self.d
+        bits = self.pure_bits
+        for c in chosen:
+            bits |= 1 << c
+        out: list[tuple[int, int, int]] = []
+        _lattice_walk(self.ge, self.N, bits, 0, n, d, *self.band, out)
+        rank = 2
+        for num, den, _ in out:
+            # num = t - d*k and den = k - 1, so this is minus the margin.
+            if num * (n - 1) + n * d * den > 0:
+                return 0
+            rank = 1
+        return rank
+
     def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
         """Enumerate one partition, ``job = (k, partition, skip, limit)``:
         from offset ``skip``, at most ``limit`` families of k chosen free
         monomials.  Return (families, orbits, best (rank, exponents)
-        result)."""
+        result).  Among families of one rank the best has the smallest
+        sorted exponent sequence, that is the largest M(C) (module
+        docstring), so its exponents are built once, at the end."""
         k, partition, skip, limit = job
         if k == 0:
             tails = iter([()])
         else:
             tails = combinations(range(partition + 1, len(self.free)), k - 1)
-        free, monomials = self.free, self.monomials
+        status = self.status
         families = 0
         orbits = 0
-        best = (0, None)
+        best_rank, best_key, best = 0, -1, ()
         for tail in islice(tails, skip, skip + limit):
             families += 1
             chosen = (partition, *tail) if k else ()
             if not _is_representative(chosen, self):
                 continue
             orbits += 1
-            for c in chosen:
-                if c not in monomials:
-                    monomials[c] = Monomial(free[c])
-            members = self.pure + tuple(map(monomials.__getitem__, chosen))
-            status = check_efficient(MonomialFamily(self.N + 1, members)).status.value
-            if status in _RANKED:
-                exps = tuple(sorted(self.pure_exps + [free[c] for c in chosen]))
-                best = _better(best, (_RANKED.index(status), exps))
-        return families, orbits, best
+            rank = status(chosen)
+            if rank and rank >= best_rank:
+                key = sum(1 << c for c in chosen)
+                if rank > best_rank or key > best_key:
+                    best_rank, best_key, best = rank, key, chosen
+        if not best_rank:
+            return families, orbits, (0, None)
+        exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
+        return families, orbits, (best_rank, exps)
 
 
 def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
@@ -240,9 +300,9 @@ def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
 _worker_space: Optional[_Space] = None
 
 
-def _start_worker(N: int, d: int) -> None:
+def _start_worker(N: int, d: int, n: Optional[int]) -> None:
     global _worker_space
-    _worker_space = _Space(N, d)
+    _worker_space = _Space(N, d, n)
 
 
 def _scan_in_worker(job: tuple[int, ...]) -> tuple[int, int, tuple]:
@@ -415,19 +475,23 @@ def exhaustive_search(
             truncated_at = (idx, skip + cap)
             break
 
+    # Every family has the lattice box d^(N+1), its pure powers putting d
+    # on every axis: where check_efficient would walk it, the status masks
+    # do.
+    space_args = (N, d, n if d ** (N + 1) <= criterion.GRID_LIMIT else None)
     workers = min(jobs or 1, len(plan), os.cpu_count() or 1)
     pool = nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(
-            workers, initializer=_start_worker, initargs=(N, d)
+            workers, initializer=_start_worker, initargs=space_args
         )
     with pool as executor:
         if executor:
             results = executor.map(_scan_in_worker, plan)
         else:
-            results = map(_Space(N, d).scan, plan) if plan else ()
+            results = map(_Space(*space_args).scan, plan) if plan else ()
         for job, (fams, orbs, found) in zip(plan, results):
             families += fams
             orbits += orbs

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -352,6 +353,24 @@ def test_lattice_scan_skips_unused_variables():
     candidates = sorted(criterion._grid_candidates(fam, 2, box))
     assert candidates == [(-3, 1, 0b011), (-3, 1, 0b110)]
     assert check_efficient(fam) == check_brute_force(fam)
+
+
+def test_lattice_walk_leaves_no_garbage():
+    # The walk is a module-level function, so a check leaves no reference
+    # cycle for the cyclic collector to free.
+    fam = MonomialFamily.of(
+        [(6, 0, 0), (0, 6, 0), (0, 0, 6), (3, 2, 1), (2, 2, 2), (1, 4, 1), (0, 3, 3)]
+    )
+    assert criterion._grid_candidates(fam, 6, criterion._lattice_box(fam, 6))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        check_efficient(fam)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:

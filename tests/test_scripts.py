@@ -58,3 +58,18 @@ def test_oracle_fuzz_script_agrees():
     lines = proc.stdout.splitlines()
     assert lines[0] == "seed: 1"
     assert lines[-1] == "all verdicts agree; all witnesses re-validate"
+
+
+def test_search_digest_is_unchanged():
+    # Every (N <= 4, d <= 5, n) search of at most 2,000 families, whole and
+    # cut at budgets 1, T/3 and T - 1 then resumed: the digest of their
+    # reports, tokens and progress records as they were when every
+    # representative's status came from check_efficient.
+    proc = run_script(
+        "search_digest.py", "--max-N", "4", "--max-d", "5", "--max-families", "2000"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "runs: 533",
+        "sha256: 2d74cfd4a321acdbc766fe47b730c18e9c03d674e91237b5182493674eecbea4",
+    ]

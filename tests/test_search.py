@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzstab import search
+from syzstab import criterion, search
 from syzstab.criterion import Stability, check_efficient
 from syzstab.errors import Error, UnsupportedRangeError
 from syzstab.families import generate_P2
@@ -111,13 +111,16 @@ def test_progress_reports_partitions():
 
 
 def test_serial_progress_streams_as_partitions_finish(monkeypatch):
+    # Every representative's status, from the masks or from check_efficient,
+    # goes through one step.
     checks = []
+    status = search._Space.status
 
-    def counting_check(family):
-        checks.append(family)
-        return check_efficient(family)
+    def counting_status(space, chosen):
+        checks.append(chosen)
+        return status(space, chosen)
 
-    monkeypatch.setattr(search, "check_efficient", counting_check)
+    monkeypatch.setattr(search._Space, "status", counting_status)
     checks_at_first_record = []
 
     def progress(record):
@@ -388,3 +391,81 @@ def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
     # family that reaches them.
     monkeypatch.setattr(search, "_ROW_BITS", 600)
     assert run() == kept
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_status_matches_check_efficient(data):
+    N = data.draw(st.integers(1, 4), label="N")
+    d = data.draw(st.integers(1, 5), label="d")
+    free = search._free_monomials(N, d)
+    index = {v: i for i, v in enumerate(free)}
+    shape = data.draw(st.sampled_from(["empty", "full", "closed", "partition"]))
+    chosen = set()
+    if shape == "full":
+        chosen = set(range(len(free)))
+    elif shape == "closed" and free:
+        # A random set closed under one permutation of the variables.
+        chosen = data.draw(st.sets(st.sampled_from(range(len(free))), min_size=1))
+        perm = data.draw(st.permutations(range(N + 1)))
+        while True:
+            grown = chosen | {index[tuple(free[c][i] for i in perm)] for c in chosen}
+            if grown == chosen:
+                break
+            chosen = grown
+    elif shape == "partition" and free:
+        # A family partway through a partition: its smallest index, then
+        # any later ones.
+        partition = data.draw(st.integers(0, len(free) - 1), label="partition")
+        later = range(partition + 1, len(free))
+        chosen = {partition}
+        if later:
+            chosen |= data.draw(st.sets(st.sampled_from(later)))
+    chosen = tuple(sorted(chosen))
+    n = N + 1 + len(chosen)
+    space = search._Space(N, d, n)
+    assert space.ge is not None
+    family = MonomialFamily.of(space.pure_exps + [free[c] for c in chosen])
+    expected = check_efficient(family).status.value
+    ranks = {Stability.UNSTABLE.value: 0, Stability.SEMISTABLE_ONLY.value: 1,
+             Stability.STABLE.value: 2}
+    assert space.status(chosen) == ranks[expected]
+
+
+@pytest.mark.parametrize("triple", [(3, 3, 14), (4, 2, 10)])
+def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
+    def run():
+        records = []
+        report = exhaustive_search(*triple, progress=records.append)
+        return json.dumps([report.to_json_dict(), records])
+
+    masks = run()
+    checks = []
+
+    def counting_check(family):
+        checks.append(family)
+        return check_efficient(family)
+
+    monkeypatch.setattr(search, "check_efficient", counting_check)
+    assert run() == masks
+    assert checks == []
+    # A box of d^(N+1) = 81 or 32 cells past the limit: every representative
+    # takes check_efficient, itself on the gcd closure, and nothing changes.
+    N, d, _ = triple
+    monkeypatch.setattr(criterion, "GRID_LIMIT", d ** (N + 1) - 1)
+    assert run() == masks
+    assert len(checks) == json.loads(masks)[0]["orbits_examined"]
+
+
+def test_serial_search_builds_only_the_best_family(monkeypatch):
+    built = []
+    post_init = MonomialFamily.__post_init__
+
+    def counting(family):
+        post_init(family)
+        built.append(family)
+
+    monkeypatch.setattr(MonomialFamily, "__post_init__", counting)
+    report = exhaustive_search(3, 3, 12)
+    assert report.orbits_examined > 100
+    assert built == [report.best_family]
