@@ -46,10 +46,12 @@ from S over those masks, which is the walk over ``ge[j][a] & S`` that
 ``check_efficient`` would take on its own columns, with ``_scan_band``
 computed once per search.  Any candidate with a negative margin
 (d-t)*n + t - d*k makes the family unstable, else any candidate at all
-semistable-only, else it is stable.  Past the limit, where
-``check_efficient`` would take the gcd closure, each representative still
-goes through ``check_efficient``.  Either way only the reported best
-family, and a resume token's, is built as a ``MonomialFamily``.
+semistable-only, else it is stable.  Within the limit only the reported
+best family, and a resume token's, is built as a ``MonomialFamily``.  Past
+it, where ``check_efficient`` would take the gcd closure, each
+representative still goes through ``check_efficient``, on a family built
+from one ``Monomial`` per pure power and per checked free index, each made
+once per search.
 
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
@@ -68,7 +70,7 @@ from typing import Callable, Optional
 from . import criterion
 from .criterion import Stability, _lattice_walk, _scan_band, check_efficient
 from .errors import Error, UnsupportedRangeError
-from .monomial import MonomialFamily, exponent_vectors_of_degree
+from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
@@ -174,6 +176,10 @@ class _Space:
         self._perms = permutations(range(N + 1))
         self.n, self.d = n, d
         self.ge: Optional[list[list[int]]] = None
+        # Without status masks, check_efficient's families are built from a
+        # Monomial per pure power and per checked free index, made once.
+        self.pure = tuple(map(Monomial, self.pure_exps)) if n is None else ()
+        self.monomials: dict[int, Monomial] = {}
         if n is not None:
             self.band = _scan_band(n, d, N + 1)
             self.pure_bits = ((1 << (N + 1)) - 1) << free_count
@@ -215,8 +221,12 @@ class _Space:
         margins (d - t) * n + t - d * k decide; without, ``check_efficient``
         does."""
         if self.ge is None:
-            exps = self.pure_exps + [self.free[c] for c in chosen]
-            status = check_efficient(MonomialFamily.of(exps)).status.value
+            monomials = self.monomials
+            for c in chosen:
+                if c not in monomials:
+                    monomials[c] = Monomial(self.free[c])
+            members = self.pure + tuple(map(monomials.__getitem__, chosen))
+            status = check_efficient(MonomialFamily(self.N + 1, members)).status.value
             return _RANKED.index(status) if status in _RANKED else 0
         n, d = self.n, self.d
         bits = self.pure_bits

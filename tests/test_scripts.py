@@ -65,9 +65,7 @@ def test_search_digest_is_unchanged():
     # cut at budgets 1, T/3 and T - 1 then resumed: the digest of their
     # reports, tokens and progress records as they were when every
     # representative's status came from check_efficient.
-    proc = run_script(
-        "search_digest.py", "--max-N", "4", "--max-d", "5", "--max-families", "2000"
-    )
+    proc = run_script("search_digest.py", "--max-families", "2000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "runs: 533",
