@@ -28,12 +28,26 @@ The filter decides this for many permutations at once.  Each kept
 permutation pi owns a lane of F+1 bits, F the number of free monomials,
 and ``packed[c]`` holds ``1 << index(pi(free[c]))`` in every lane, so the
 sum of ``packed[c]`` over c in C holds M(pi(C)) in each lane, without
-carries, since pi permutes the free indices.  The first lane belongs to
-the identity and holds M(C).  Adding the top bit of each lane, the guard,
-and subtracting (M(C) + 1) from every lane leaves each lane in
-[0, 2^(F+1) - 2], so no borrow crosses lanes, and a guard bit stays set
-exactly where M(pi(C)) > M(C).  That takes k big-int additions per block
-of lanes for k chosen indices, and no Python loop over permutations.
+carries, since pi permutes the free indices.  Adding the top bit of each
+lane, the guard, and subtracting (M(C) + 1) from every lane leaves each
+lane in [0, 2^(F+1) - 2], so no borrow crosses lanes, and a guard bit
+stays set exactly where M(pi(C)) > M(C).  A block of lanes keeps
+``diff[c] = packed[c] - (ones << c)`` instead, ``ones`` holding 1 in
+every lane, so that ``bias + sum of diff[c] over c in C``, with ``bias``
+the guards minus ``ones``, is that same integer, and no family needs
+M(C) to be tested.
+
+A partition's families are walked depth-first in lexicographic order,
+without recursion, from an offset unranked in the combinatorial number
+system.  The walk carries block 0's sum ``D`` over a prefix of chosen
+indices, so each family ``prefix + (c,)`` costs one addition and one AND,
+``(D + diff[c]) & guards``.  When the prefix advances, the positions from
+the advanced one onwards hold consecutive indices, whose diffs sum to a
+difference of two prefix sums of ``diff``; each run of consecutive
+positions keeps one offset, so an advance costs O(1) big-int operations
+however long the prefix.  Only families block 0 lets through are built as
+tuples and go on to the later blocks and to the permutations past the
+kept lanes, which are recomputed at the chosen indices.
 
 A representative's status comes from bit masks, with no family object.
 Every family of a search holds the pure powers, so its lattice box (see
@@ -63,9 +77,10 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import accumulate, islice, permutations
 from math import comb, factorial
-from typing import Callable, Optional
+from operator import add
+from typing import Callable, Iterator, Optional
 
 from . import criterion
 from .criterion import Stability, _lattice_walk, _scan_band, check_efficient
@@ -93,7 +108,7 @@ _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 #: per kept permutation of F free monomials: the lane of permutation pi
 #: holds M(pi(C)) in F bits and a guard bit above them, in each packed
 #: entry of a block.  Permutations past them are recomputed for each
-#: family, at its chosen indices only.
+#: family that the kept lanes let through, at its chosen indices only.
 _ROW_BITS = 1 << 22
 
 #: Lanes per block of the orbit filter.  A block is built the first time a
@@ -161,19 +176,17 @@ class _Space:
         free_count = len(self.free)
         keep = _ROW_BITS // max(free_count, 1) ** 2
         self.perm_count = factorial(N + 1)
-        # Lane 0 is the identity's and holds M(C).  It is built only with a
-        # kept permutation beside it, since every lane costs about F^2 bits.
+        # Lane 0 is the identity's.  It is built only with a kept
+        # permutation beside it, since every lane costs about F^2 bits.
         self.lanes = min(keep + 1, self.perm_count) if keep else 0
-        self.block_size = size = _BLOCK
-        self.block_count = -(-self.lanes // size)
+        self.block_size = _BLOCK
+        self.block_count = -(-self.lanes // self.block_size)
         self.width = free_count + 1
-        self.lane_mask = (1 << free_count) - 1
-        # Lane ones of the widest block, which serve every narrower one.
-        self.ones = sum(
-            1 << s for s in range(0, min(self.lanes, size) * self.width, self.width)
-        )
         self.blocks: list[tuple[list[int], int, int]] = []
-        self._perms = permutations(range(N + 1))
+        # Each free monomial's images under the permutations, in the order
+        # of permutations(range(N + 1)); each block takes the next ones.
+        self._images = [permutations(e) for e in self.free] if self.lanes else []
+        self.sums: list[int] = []
         self.n, self.d = n, d
         self.ge: Optional[list[list[int]]] = None
         # Without status masks, check_efficient's families are built from a
@@ -198,21 +211,56 @@ class _Space:
                 self.ge.append(masks[:d])
 
     def grow(self) -> None:
-        """Append the next block: ``(packed, guards, guards - ones)``, where
-        ``packed[c]`` holds ``1 << index(pi(free[c]))`` in the lane of each
-        of the block's permutations pi, and ``guards`` the top bit of each
-        of its lanes."""
+        """Append the next block: ``(diffs, guards, bias)``, where
+        ``diffs[c]`` is ``packed[c] - (ones << c)``, ``packed[c]`` holding
+        ``1 << index(pi(free[c]))`` in the lane of each of the block's
+        permutations pi, ``ones`` a 1 in each lane, ``guards`` the top bit
+        of each lane, and ``bias`` is ``guards - ones``.  Block 0 also
+        fills ``sums``, the prefix sums of its diffs."""
         count = min(self.block_size, self.lanes - len(self.blocks) * self.block_size)
-        perms = list(islice(self._perms, count))
         shifts = range(0, count * self.width, self.width)
-        index = self.index
-        packed = [
-            sum(1 << (index[tuple(e[i] for i in perm)] + s)
-                for perm, s in zip(perms, shifts))
-            for e in self.free
+        ones = sum(map((1).__lshift__, shifts))
+        image_index = self.index.__getitem__
+        diffs = [
+            sum(map((1).__lshift__, map(add, map(image_index, islice(images, count)), shifts)))
+            - (ones << c)
+            for c, images in enumerate(self._images)
         ]
-        guards = sum(1 << (self.width - 1 + s) for s in shifts)
-        self.blocks.append((packed, guards, guards - self.ones))
+        guards = ones << (self.width - 1)
+        self.blocks.append((diffs, guards, guards - ones))
+        if len(self.blocks) == 1:
+            self.sums = list(accumulate(diffs, initial=0))
+
+    def first_block(self) -> tuple[list[int], int, int, list[int]]:
+        """Block 0's ``(diffs, guards, bias)`` and ``sums``, built on first
+        use.  With no lanes kept they are zeros, so every family passes to
+        the recompute."""
+        if not self.lanes:
+            zeros = bytes(len(self.free) + 1)
+            return zeros, 0, 0, zeros
+        if not self.blocks:
+            self.grow()
+        return (*self.blocks[0], self.sums)
+
+    def passes_rest(self, chosen: tuple[int, ...]) -> bool:
+        """True iff the chosen free indices C, which block 0 lets through,
+        pass every later block and every permutation past the lanes, which
+        is recomputed at the chosen indices."""
+        blocks = self.blocks
+        for b in range(1, self.block_count):
+            if b == len(blocks):
+                self.grow()
+            diffs, guards, bias = blocks[b]
+            if sum(map(diffs.__getitem__, chosen), bias) & guards:
+                return False
+        if self.lanes == self.perm_count:
+            return True
+        mask = sum(map((1).__lshift__, chosen))
+        free, index = self.free, self.index
+        for perm in islice(permutations(range(self.N + 1)), max(self.lanes, 1), None):
+            if sum(1 << index[tuple(free[c][i] for i in perm)] for c in chosen) > mask:
+                return False
+        return True
 
     def status(self, chosen: tuple[int, ...]) -> int:
         """Rank in ``_RANKED`` (0 for unstable) of the family of the pure
@@ -242,67 +290,122 @@ class _Space:
             rank = 1
         return rank
 
+    def representatives(self, job: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Yield, in order, the orbit representatives among the families
+        of ``job = (k, partition, skip, limit)``: from offset ``skip`` of
+        the partition, in lexicographic order, ``limit`` families of k
+        chosen free indices, the first of them ``partition``.  The walk
+        is the one the module docstring describes."""
+        k, partition, skip, limit = job
+        if k == 0:
+            yield ()
+            return
+        free_count = len(self.free)
+        diffs, guards, bias, sums = self.first_block()
+        passes_rest = self.passes_rest
+        first = (partition, *_unrank(skip, k - 1, partition + 1, free_count))
+        prefix, low = list(first[:-1]), first[-1]
+        # Runs of the prefix: positions from starts[r] on hold consecutive
+        # indices, so that offsets[r] + sums[prefix[j]] is the carried sum
+        # before position j of run r.  Position 0, the partition, never
+        # advances and starts no run.
+        starts: list[int] = []
+        offsets: list[int] = []
+        carried = bias
+        for j, c in enumerate(prefix):
+            if j == 1 or (j > 1 and prefix[j - 1] + 1 != c):
+                starts.append(j)
+                offsets.append(carried - sums[c])
+            carried += diffs[c]
+        last = k - 2  # the prefix's last position
+        top = free_count - k  # prefix[j] - j at a position's largest value
+        remaining = limit
+        while True:
+            high = low + remaining
+            if high > free_count:
+                high = free_count
+            remaining -= high - low
+            for c in range(low, high):
+                if not (carried + diffs[c]) & guards:
+                    chosen = (*prefix, c)
+                    if passes_rest(chosen):
+                        yield chosen
+            if not remaining:
+                return
+            # Advance the rightmost position below its largest value,
+            # F - k + j at position j.  A run whose last position holds its
+            # largest value holds it at every position, so it is dropped
+            # whole.  The positions from e on take the next consecutive
+            # indices, one run, whose offset follows from the old one.
+            e = last
+            while prefix[e] - e == top:
+                offsets.pop()
+                e = starts.pop() - 1
+            c = prefix[e]
+            offset = offsets[-1] - diffs[c]
+            if starts[-1] == e:
+                offsets[-1] = offset
+            else:
+                starts.append(e)
+                offsets.append(offset)
+            low = c + k - e
+            if e == last:
+                prefix[e] = c + 1
+            else:
+                prefix[e:] = range(c + 1, low)
+            carried = offset + sums[low]
+
     def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
         """Enumerate one partition, ``job = (k, partition, skip, limit)``:
-        from offset ``skip``, at most ``limit`` families of k chosen free
+        from offset ``skip``, ``limit`` families of k chosen free
         monomials.  Return (families, orbits, best (rank, exponents)
         result).  Among families of one rank the best has the smallest
         sorted exponent sequence, that is the largest M(C) (module
         docstring), so its exponents are built once, at the end."""
-        k, partition, skip, limit = job
-        if k == 0:
-            tails = iter([()])
-        else:
-            tails = combinations(range(partition + 1, len(self.free)), k - 1)
         status = self.status
-        families = 0
         orbits = 0
         best_rank, best_key, best = 0, -1, ()
-        for tail in islice(tails, skip, skip + limit):
-            families += 1
-            chosen = (partition, *tail) if k else ()
-            if not _is_representative(chosen, self):
-                continue
+        for chosen in self.representatives(job):
             orbits += 1
             rank = status(chosen)
             if rank and rank >= best_rank:
                 key = sum(1 << c for c in chosen)
                 if rank > best_rank or key > best_key:
                     best_rank, best_key, best = rank, key, chosen
+        families = job[3]
         if not best_rank:
             return families, orbits, (0, None)
         exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
         return families, orbits, (best_rank, exps)
 
 
+def _unrank(rank: int, size: int, low: int, end: int) -> list[int]:
+    """The size-subset of range(low, end) at position ``rank`` of the
+    lexicographic order of ascending tuples, as ``combinations`` lists
+    them: in the combinatorial number system, C(end - c - 1, j - 1)
+    subsets put c first among the j positions left."""
+    chosen = []
+    c = low
+    for left in range(size, 0, -1):
+        while rank >= (count := comb(end - c - 1, left - 1)):
+            rank -= count
+            c += 1
+        chosen.append(c)
+        c += 1
+    return chosen
+
+
 def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
     """True iff no axis permutation maps the chosen free indices C to a
-    larger M(C): with C empty there is nothing to permute.  One sum tests
-    each block of lanes, as the module docstring explains; permutations
-    past the lanes are recomputed at the chosen indices."""
+    larger M(C): with C empty there is nothing to permute.  One sum over
+    C tests each block of lanes, as the module docstring explains; this is
+    the walk's test, one family at a time."""
     if not chosen:
         return True
-    blocks = space.blocks
-    spread = None
-    for b in range(space.block_count):
-        if b == len(blocks):
-            space.grow()
-        packed, guards, bias = blocks[b]
-        total = sum(map(packed.__getitem__, chosen))
-        if spread is None:
-            mask = total & space.lane_mask
-            spread = mask * space.ones  # M(C) in every lane
-        if (total + bias - spread) & guards:
-            return False
-    if space.lanes == space.perm_count:
-        return True
-    if spread is None:
-        mask = sum(1 << c for c in chosen)
-    free, index = space.free, space.index
-    for perm in islice(permutations(range(space.N + 1)), max(space.lanes, 1), None):
-        if sum(1 << index[tuple(free[c][i] for i in perm)] for c in chosen) > mask:
-            return False
-    return True
+    diffs, guards, bias, _ = space.first_block()
+    if sum(map(diffs.__getitem__, chosen), bias) & guards:
+        return False
+    return space.passes_rest(chosen)
 
 
 #: A pool worker's ``_Space``, built by ``_start_worker`` as the worker

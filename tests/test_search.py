@@ -1,9 +1,13 @@
 import concurrent.futures
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
-from itertools import permutations
+from itertools import combinations, islice, permutations
 from math import comb
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -322,6 +326,37 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
             )
 
 
+def reference_scan(space, job, is_minimal):
+    """``_Space.scan`` as a plain loop: every family of the job from
+    ``combinations`` and ``islice``, tested by ``is_minimal``, and each
+    representative's status from ``space.status``.  Return the scan's
+    result and the representatives, in order."""
+    k, partition, skip, limit = job
+    if k == 0:
+        tails = iter([()])
+    else:
+        tails = combinations(range(partition + 1, len(space.free)), k - 1)
+    families = 0
+    representatives = []
+    best_rank, best_key, best = 0, -1, ()
+    for tail in islice(tails, skip, skip + limit):
+        families += 1
+        chosen = (partition, *tail) if k else ()
+        if not is_minimal(chosen, space):
+            continue
+        representatives.append(chosen)
+        rank = space.status(chosen)
+        if rank and rank >= best_rank:
+            key = sum(1 << c for c in chosen)
+            if rank > best_rank or key > best_key:
+                best_rank, best_key, best = rank, key, chosen
+    orbits = len(representatives)
+    if not best_rank:
+        return (families, orbits, (0, None)), representatives
+    exps = tuple(sorted(space.pure_exps + [space.free[c] for c in best]))
+    return (families, orbits, (best_rank, exps)), representatives
+
+
 def test_searches_match_the_sorted_sequence_filter(monkeypatch):
     # Every (N <= 3, d <= 4, n) cut after 1 and after F - 1 families, and
     # run whole where it has at most 2,000 families: (3, 3, 9..15) and
@@ -329,7 +364,7 @@ def test_searches_match_the_sorted_sequence_filter(monkeypatch):
     def run(N, d, n, budget):
         records = []
         report = exhaustive_search(N, d, n, budget, progress=records.append)
-        return json.dumps([report.to_json_dict(), records])
+        return json.dumps([report.to_json_dict(), records]), report.families_examined
 
     runs = []
     for N in (1, 2, 3):
@@ -339,12 +374,87 @@ def test_searches_match_the_sorted_sequence_filter(monkeypatch):
                 runs += [(N, d, n, 1), (N, d, n, max(free_count - 1, 1))]
                 if n <= N or comb(free_count, n - (N + 1)) <= 2000:
                     runs.append((N, d, n, search.DEFAULT_BUDGET))
-    lanes = [run(*args) for args in runs]
-    reference = []
-    for args in runs:
-        monkeypatch.setattr(search, "_is_representative", sorted_sequence_filter(args[0]))
-        reference.append(run(*args))
-    assert lanes == reference
+    walked = [run(*args)[0] for args in runs]
+    # The reference scan tests every family by the definition.  The
+    # searches are serial, so each examined family is tested here, once.
+    tested = []
+
+    def scan(space, job):
+        is_minimal = sorted_sequence_filter(space.N)
+
+        def counted(chosen, space):
+            tested.append(chosen)
+            return is_minimal(chosen, space)
+
+        return reference_scan(space, job, counted)[0]
+
+    monkeypatch.setattr(search._Space, "scan", scan)
+    reference, examined = zip(*(run(*args) for args in runs))
+    assert walked == list(reference)
+    assert len(tested) == sum(examined) > 0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_the_reference_loop(data):
+    N = data.draw(st.integers(1, 4), label="N")
+    d = data.draw(st.integers(1, 4), label="d")
+    free_count = len(search._free_monomials(N, d))
+    square = max(free_count, 1) ** 2
+    # A cap of one bit keeps no lane, so every family takes the recompute.
+    bits = data.draw(st.sampled_from([search._ROW_BITS, 1, square, 3 * square]))
+    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    k = data.draw(st.integers(0, free_count), label="k")
+    if k == 0:
+        job = (0, -1, 0, 1)
+    else:
+        partition = data.draw(st.integers(0, free_count - k), label="partition")
+        families = comb(free_count - 1 - partition, k - 1)
+        # Offsets anywhere in partitions the reference can skip through,
+        # and families from there to the partition's end or fewer.
+        skip = data.draw(st.integers(0, min(families, 20_000) - 1), label="skip")
+        whole = families - skip
+        limit = data.draw(st.sampled_from([whole, data.draw(st.integers(1, whole))]))
+        job = (k, partition, skip, min(limit, 40))
+    with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
+        space = search._Space(N, d, N + 1 + k)
+        checked = []
+        status = space.status
+
+        def recorded(chosen):
+            checked.append(chosen)
+            return status(chosen)
+
+        space.status = recorded
+        expected, representatives = reference_scan(
+            search._Space(N, d, N + 1 + k), job, sorted_sequence_filter(N)
+        )
+        assert space.scan(job) == expected
+        assert checked == representatives
+
+
+def test_walk_needs_no_recursion_as_deep_as_the_family():
+    # One family each, of k = 52 and k = 2013 chosen free monomials, under
+    # a recursion limit of 30; the SHA-256 of each report's sorted-key JSON
+    # is pinned.
+    code = """
+import hashlib, json, sys
+from syzstab.search import exhaustive_search
+sys.setrecursionlimit(30)
+for triple in [(2, 9, 55), (2, 62, 2016)]:
+    report = json.dumps(exhaustive_search(*triple).to_json_dict(), sort_keys=True)
+    print(hashlib.sha256(report.encode()).hexdigest())
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "2f6ee09b2a99dc891fce4a1274409a6682e66965c267585f9f9716ee297064f5",
+        "9447986f4bbce592b84b677090c171d906ff89d4c7684f53de3298eb5ed42a28",
+    ]
 
 
 def test_search_builds_one_space_and_keeps_nothing(monkeypatch):
