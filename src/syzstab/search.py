@@ -7,15 +7,17 @@ plus an n-(N+1)-subset of the remaining degree-d monomials".  The free
 monomials are indexed in canonical order and the subset space is
 partitioned by the smallest chosen index, which gives deterministic
 enumeration, cheap parallelism (partitions share only the space of free
-monomials, filter lanes and status masks, built once by each search or
-pool worker), and a natural checkpoint token (partition, offset within
-partition).
+monomials, filter lanes, status masks and orderly tree, built once by each
+search or pool worker), and a natural checkpoint token (partition, offset
+within partition).
 
 Families related by a permutation of the variables have the same verdict,
 so only orbit representatives are checked: a family is checked iff its
 ascending-sorted exponent sequence is lexicographically minimal among all
-(N+1)! axis permutations.  Every enumerated family still counts towards
-``families_examined`` and the budget; ``orbits_examined`` counts checks.
+(N+1)! axis permutations.  Every family in a scanned range counts towards
+``families_examined`` and the budget by the partition plan's arithmetic,
+since a whole partition under the orderly tree (below) tests few of its
+families on their own; ``orbits_examined`` counts checks.
 
 The test runs on the chosen free indices C alone.  Two sorted sequences of
 distinct elements compare by the smallest element of their symmetric
@@ -49,6 +51,39 @@ however long the prefix.  Only families block 0 lets through are built as
 tuples and go on to the later blocks and to the permutations past the
 kept lanes, which are recomputed at the chosen indices.
 
+Whole partitions take their representatives from an orderly tree instead,
+built once per search (once per pool worker) and shared by all of them.
+It rests on Read's condition for orderly generation (R. C. Read, "Every
+one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): if C is a representative,
+so is C minus its smallest index c0.  Take pi with M(pi(C - c0)) >
+M(C - c0), and h the top bit where the two differ; counting the elements
+at or above h puts h above c0, so wherever pi(c0) lies, pi(C) is larger
+than C at the top bit where they differ.  So partition p's representatives
+are the sets (p, *T), T a representative of k - 1 indices all above p, and
+every suffix of T is a representative too.  The tree grows those sets from
+the empty set, with carried sum ``bias``, a level at a time: a set S of a
+level, with carried sum D, gets the child (c, *S) for c below min(S), and
+high enough that k - 1 indices and a partition still fit, when
+``(D + diff[c]) & guards`` is zero and the later blocks let it through.
+The sets of a sorted level that lie above c are a suffix of it (bisect on
+the smallest index), and (c, *S) sorts as S does, so taking c in ascending
+order keeps every level sorted.  The last level, the held sets of k - 1
+indices, stays with the search, and partition p tests only the families
+(p, *T) of its suffix above p, at one addition and one AND each, in the
+walk's lexicographic order: the status step sees the same representatives
+in the same order.  A partition cut by the budget or a resume offset
+walks, so offsets and tokens keep their meaning, and so does every
+partition of a space whose lanes miss a permutation, where each tree node
+would pay the recompute.  The tree starts at the first whole partition
+and is used only while it is the smaller: its nodes, at most
+C(span, k - 1) for the span of indices from that partition on, may
+outnumber the C(span, k) families they serve by at most a factor of
+min((N+1)!, 24) / 6.  Near-full families have long sets that prune
+little, so measured there, the tree loses beyond about 4 times from N = 3
+on, and is worth little at N <= 2, whose orbits hold at most 6 sets.  A
+level of more than ``_HELD`` sets abandons the tree, and the search walks.
+
 A representative's status comes from bit masks, with no family object.
 Every family of a search holds the pure powers, so its lattice box (see
 ``criterion``) is d^(N+1) cells, d on every axis.  Where that fits
@@ -75,11 +110,12 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, islice, permutations
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, inf
+from operator import add, itemgetter
 from typing import Callable, Iterator, Optional
 
 from . import criterion
@@ -115,6 +151,11 @@ _ROW_BITS = 1 << 22
 #: family reaches it, so a family rejected by an early block never pays for
 #: the later ones.
 _BLOCK = 32
+
+#: Most sets that one level of the orderly tree may hold, about 300 bytes
+#: each at N = 4 (two levels are held while the next one grows); past it
+#: the search walks every partition instead.
+_HELD = 1 << 16
 
 #: Resume token fields, in the order they are written.
 _TOKEN_KEYS = (
@@ -160,11 +201,12 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
 
 class _Space:
     """The search space of one (N, d): the free monomials and their index,
-    the pure powers, the orbit filter's blocks of permutation lanes and,
-    when given n, the status masks of n-member families.  One is built for
-    each search, or for each worker of a pooled one, and none outlives it.
-    Lanes are built on first use, so a family rejected by its first block
-    builds no other."""
+    the pure powers, the orbit filter's blocks of permutation lanes, the
+    orderly tree's held sets and, when given n, the status masks of
+    n-member families.  One is built for each search, or for each worker
+    of a pooled one, and none outlives it.  Lanes are built on first use,
+    so a family rejected by its first block builds no other, and the tree
+    on the first whole partition."""
 
     def __init__(self, N: int, d: int, n: Optional[int] = None):
         self.N = N
@@ -187,6 +229,10 @@ class _Space:
         # of permutations(range(N + 1)); each block takes the next ones.
         self._images = [permutations(e) for e in self.free] if self.lanes else []
         self.sums: list[int] = []
+        # The orderly tree's (k, first partition) and held sets, decided on
+        # the first whole partition.
+        self.tree_key: Optional[tuple[int, int]] = None
+        self.held: Optional[list] = None
         self.n, self.d = n, d
         self.ge: Optional[list[list[int]]] = None
         # Without status masks, check_efficient's families are built from a
@@ -290,7 +336,7 @@ class _Space:
             rank = 1
         return rank
 
-    def representatives(self, job: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def walk(self, job: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """Yield, in order, the orbit representatives among the families
         of ``job = (k, partition, skip, limit)``: from offset ``skip`` of
         the partition, in lexicographic order, ``limit`` families of k
@@ -355,17 +401,87 @@ class _Space:
                 prefix[e:] = range(c + 1, low)
             carried = offset + sums[low]
 
+    def held_sets(self, job: tuple[int, ...]) -> Optional[list]:
+        """The orderly tree's held sets, if ``job`` is a whole partition of
+        families of k >= 2 chosen free indices: ``(T, D)`` for every
+        representative T of k - 1 indices all above the first partition
+        that asked, D its carried block-0 sum, sorted.  Built on the first
+        such job, once per space.  None where the job takes the walk: the
+        lanes miss a permutation, the tree was abandoned (``_grow_tree``),
+        or it was built for another k or a later partition."""
+        k, partition, skip, limit = job
+        if (
+            k < 2 or skip or self.lanes != self.perm_count
+            or limit != comb(len(self.free) - 1 - partition, k - 1)
+        ):
+            return None
+        if self.tree_key is None:
+            self.tree_key = (k, partition)
+            self.held = self._grow_tree(k, partition)
+        if self.tree_key[0] != k or partition < self.tree_key[1]:
+            return None
+        return self.held
+
+    def _grow_tree(self, k: int, partition: int) -> Optional[list]:
+        """The sorted level of representatives of k - 1 free indices above
+        ``partition``, grown from the empty set a level at a time (module
+        docstring).  None if the tree's nodes, at most C(span, k - 1) for
+        the span of indices from the partition on, outnumber the
+        C(span, k) families it serves by more than min((N+1)!, 24) / 6,
+        or if a level passes ``_HELD`` sets."""
+        span = len(self.free) - partition
+        if 6 * comb(span, k - 1) > min(self.perm_count, 24) * comb(span, k):
+            return None
+        level = [((), self.first_block()[2])]
+        high = len(self.free)
+        for size in range(1, k):
+            grown: list = []
+            # A set of this size still needs k - 1 - size smaller indices
+            # above the partition, and c lies below some held set.
+            for c in range(partition + k - size, high):
+                grown += self.children(level, c)
+                if len(grown) > _HELD:
+                    return None
+            if not grown:
+                return grown
+            level = grown
+            high = level[-1][0][0]
+        return level
+
+    def children(self, level: list, c: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield ``((c, *S), D + diffs[c])`` for each ``(S, D)`` of a sorted
+        level whose set S lies above c and for which (c, *S) is a
+        representative, in order: the sets above c are a suffix of the
+        level, and (c, *S) sorts as S does."""
+        diffs, guards, _ = self.blocks[0]
+        passes_rest = self.passes_rest
+        step = diffs[c]
+        for S, D in islice(level, bisect_right(level, c, key=_smallest), None):
+            carried = D + step
+            if not carried & guards:
+                chosen = (c, *S)
+                if passes_rest(chosen):
+                    yield chosen, carried
+
     def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
         """Enumerate one partition, ``job = (k, partition, skip, limit)``:
         from offset ``skip``, ``limit`` families of k chosen free
-        monomials.  Return (families, orbits, best (rank, exponents)
-        result).  Among families of one rank the best has the smallest
-        sorted exponent sequence, that is the largest M(C) (module
-        docstring), so its exponents are built once, at the end."""
+        monomials.  A whole partition takes its representatives from the
+        orderly tree's held sets where ``held_sets`` gives them, any other
+        job from the walk; both yield them in lexicographic order.  Return
+        (families, orbits, best (rank, exponents) result).  Among families
+        of one rank the best has the smallest sorted exponent sequence,
+        that is the largest M(C) (module docstring), so its exponents are
+        built once, at the end."""
+        held = self.held_sets(job)
+        if held is None:
+            found = self.walk(job)
+        else:
+            found = map(itemgetter(0), self.children(held, job[1]))
         status = self.status
         orbits = 0
         best_rank, best_key, best = 0, -1, ()
-        for chosen in self.representatives(job):
+        for chosen in found:
             orbits += 1
             rank = status(chosen)
             if rank and rank >= best_rank:
@@ -377,6 +493,11 @@ class _Space:
             return families, orbits, (0, None)
         exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
         return families, orbits, (best_rank, exps)
+
+
+def _smallest(node: tuple[tuple[int, ...], int]) -> float:
+    """A tree node's smallest index, infinite for the empty set."""
+    return node[0][0] if node[0] else inf
 
 
 def _unrank(rank: int, size: int, low: int, end: int) -> list[int]:

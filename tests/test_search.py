@@ -433,6 +433,118 @@ def test_walk_matches_the_reference_loop(data):
         assert checked == representatives
 
 
+def scan_recorded(space, job):
+    """``space.scan(job)`` and the chosen tuples it hands to ``status``, in
+    order."""
+    checked = []
+    status = space.status
+
+    def recorded(chosen):
+        checked.append(chosen)
+        return status(chosen)
+
+    space.status = recorded
+    try:
+        return space.scan(job), checked
+    finally:
+        del space.status
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_matches_the_walk_on_whole_partitions(data):
+    N = data.draw(st.integers(1, 4), label="N")
+    d = data.draw(st.integers(2, 4), label="d")
+    free_count = len(search._free_monomials(N, d))
+    square = free_count ** 2
+    # The default keeps a lane for every permutation, so whole partitions
+    # take the tree; blocks of 1 or 2 lanes put the later blocks in every
+    # tree step.  F^2 and 3F^2 bits keep 2 or 4 lanes, and spaces with more
+    # permutations walk.
+    bits = data.draw(st.sampled_from([search._ROW_BITS, square, 3 * square]))
+    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    k = data.draw(st.sampled_from(
+        [k for k in range(1, free_count + 1) if comb(free_count, k) <= 20_000]
+    ), label="k")
+    jobs = [
+        (k, p, 0, comb(free_count - 1 - p, k - 1))
+        for p in range(free_count - k + 1)
+    ]
+    with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
+        tree = search._Space(N, d, N + 1 + k)
+        got = [scan_recorded(tree, job) for job in jobs]
+        # With no set held the tree is abandoned at its first level.
+        with patch.object(search, "_HELD", 0):
+            walk = search._Space(N, d, N + 1 + k)
+            expected = [scan_recorded(walk, job) for job in jobs]
+    assert walk.held is None
+    assert got == expected
+    if bits == search._ROW_BITS and 1 < k and 2 * k <= free_count + 1 and N > 1:
+        assert tree.held is not None
+
+
+def test_tree_path_streams_and_pools_like_the_walk(monkeypatch):
+    # Whole partitions of (3, 3, 13) take the orderly tree.
+    checks = []
+    status = search._Space.status
+    held_sets = search._Space.held_sets
+    trees = []
+
+    def counting_status(space, chosen):
+        checks.append(chosen)
+        return status(space, chosen)
+
+    def recorded_held_sets(space, job):
+        trees.append(held_sets(space, job))
+        return trees[-1]
+
+    checks_at_first_record = []
+    records = []
+
+    def progress(record):
+        if not checks_at_first_record:
+            checks_at_first_record.append(len(checks))
+        records.append(record)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(search._Space, "status", counting_status)
+        patched.setattr(search._Space, "held_sets", recorded_held_sets)
+        serial = exhaustive_search(3, 3, 13, progress=progress)
+    assert trees and all(held is not None for held in trees)
+    assert len(checks) == serial.orbits_examined
+    assert checks_at_first_record[0] < len(checks)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    pooled = []
+    assert exhaustive_search(3, 3, 13, progress=pooled.append, jobs=2) == serial
+    assert pooled == records
+
+
+def test_searches_past_the_held_cap_walk_and_match(monkeypatch):
+    triples = [(3, 3, n) for n in range(12, 20)] + [(4, 2, n) for n in range(9, 15)]
+    triples.append((4, 3, 10))
+    built = []
+
+    class Recorded(search._Space):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def run(triple):
+        records = []
+        report = exhaustive_search(*triple, progress=records.append)
+        return json.dumps([report.to_json_dict(), records])
+
+    monkeypatch.setattr(search, "_Space", Recorded)
+    held = [run(triple) for triple in triples]
+    # The census rows past (3, 3, 17) and (4, 2, 13) walk by the size rule.
+    assert [space.held is not None for space in built] == [True] * 6 + [False] * 2 + [
+        True] * 5 + [False, True]
+    built.clear()
+    monkeypatch.setattr(search, "_HELD", 1)
+    assert [run(triple) for triple in triples] == held
+    assert [space.held for space in built] == [None] * len(triples)
+
+
 def test_walk_needs_no_recursion_as_deep_as_the_family():
     # One family each, of k = 52 and k = 2013 chosen free monomials, under
     # a recursion limit of 30; the SHA-256 of each report's sorted-key JSON
