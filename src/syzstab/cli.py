@@ -177,16 +177,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_moduli(args: argparse.Namespace) -> int:
-    from dataclasses import fields
-
     from .moduli import cohomology_table
 
     report = cohomology_table(args.N, args.n, args.d)
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
-    for field in fields(report):
-        print(f"{field.name}: {getattr(report, field.name)}")
+    for name, value in zip(report._FIELDS, report._values()):
+        print(f"{name}: {value}")
     return 0
 
 

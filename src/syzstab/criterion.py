@@ -35,12 +35,12 @@ index tuple.  ``verify_verdict`` re-checks any verdict from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import comb, prod
 
+from ._value import Value
 from .errors import (
     CapacityError,
     CommonFactorError,
@@ -66,8 +66,7 @@ def _fraction_pair(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-@dataclass(frozen=True)
-class SubsetWitness:
+class SubsetWitness(Value):
     """A subset of member indices together with its exact quotient.
 
     For an unstable family the quotient exceeds the family slope; for a
@@ -75,11 +74,18 @@ class SubsetWitness:
     family's canonical member order.
     """
 
-    indices: tuple[int, ...]
-    gcd: Monomial
-    size: int
-    quotient: Fraction
-    family_slope: Fraction
+    _FIELDS = ("indices", "gcd", "size", "quotient", "family_slope")
+    __slots__ = _FIELDS
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        gcd: Monomial,
+        size: int,
+        quotient: Fraction,
+        family_slope: Fraction,
+    ) -> None:
+        self._assign(indices, gcd, size, quotient, family_slope)
 
     @property
     def gcd_degree(self) -> int:
@@ -96,8 +102,7 @@ class SubsetWitness:
         }
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Value):
     """Outcome of a stability check.
 
     ``violation`` is set exactly when the status is unstable and
@@ -107,11 +112,23 @@ class StabilityVerdict:
     that case.
     """
 
-    status: Stability
-    family_slope: Fraction
-    violation: SubsetWitness | None = None
-    equality_witness: SubsetWitness | None = None
-    criterion_value_only: bool = False
+    _FIELDS = (
+        "status", "family_slope", "violation", "equality_witness",
+        "criterion_value_only",
+    )
+    __slots__ = _FIELDS
+
+    def __init__(
+        self,
+        status: Stability,
+        family_slope: Fraction,
+        violation: SubsetWitness | None = None,
+        equality_witness: SubsetWitness | None = None,
+        criterion_value_only: bool = False,
+    ) -> None:
+        self._assign(
+            status, family_slope, violation, equality_witness, criterion_value_only
+        )
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -377,6 +394,7 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction):
     the mask of the k lowest bits of g's multiples; only bounds at or above
     the slope."""
     degs, top = family.degrees, family.n - 1
+    slope_num, slope_den = slope.numerator, slope.denominator
     closure, decode = _closure_masks(family)
     for code, mask in closure.items():
         if not mask & (mask - 1):
@@ -388,7 +406,7 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction):
             total += degs[low.bit_length() - 1]
             k += 1
             num = base - total
-            if k >= 2 and num * slope.denominator >= slope.numerator * (k - 1):
+            if k >= 2 and num * slope_den >= slope_num * (k - 1):
                 yield num, k - 1, mask ^ rest
 
 

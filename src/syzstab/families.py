@@ -21,9 +21,9 @@ for callers; the builder functions carry the descriptive names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
+from ._value import Value
 from .errors import InvalidFamilyError, UnsupportedRangeError
 from .monomial import (
     MAX_DEGREE,
@@ -36,15 +36,16 @@ from .monomial import (
 CATALOG_MAX_SIZE = 18
 
 
-@dataclass(frozen=True)
-class FamilyRecipe:
+class FamilyRecipe(Value):
     """Which construction produced a family, with its derived parameters."""
 
-    N: int
-    n: int
-    d: int
-    source: str
-    params: dict = field(default_factory=dict)
+    _FIELDS = ("N", "n", "d", "source", "params")
+    __slots__ = _FIELDS
+
+    def __init__(
+        self, N: int, n: int, d: int, source: str, params: dict | None = None
+    ) -> None:
+        self._assign(N, n, d, source, {} if params is None else params)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,10 +14,10 @@ computed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
+from ._value import Value
 from .errors import ExcludedCaseError, UnsupportedRangeError
 
 #: Most decimal digits an invariant may have: ``str`` and ``json`` refuse
@@ -32,8 +32,7 @@ def _too_long(what: str) -> UnsupportedRangeError:
     )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(Value):
     """Numeric invariants of the syzygy bundle of n degree-d forms on P^N.
 
     ``h0`` through ``h3`` are the cohomology dimensions of the bundle
@@ -42,19 +41,31 @@ class ModuliReport:
     dimension of the (generically smooth) moduli component.
     """
 
-    N: int
-    n: int
-    d: int
-    rank: int
-    c1: int
-    slope: Fraction
-    h0: int
-    h1: int
-    h2: int
-    h3: int
-    h1_twist: int
-    ext1: int
-    component_dim: int
+    _FIELDS = (
+        "N", "n", "d", "rank", "c1", "slope", "h0", "h1", "h2", "h3",
+        "h1_twist", "ext1", "component_dim",
+    )
+    __slots__ = _FIELDS
+
+    def __init__(
+        self,
+        N: int,
+        n: int,
+        d: int,
+        rank: int,
+        c1: int,
+        slope: Fraction,
+        h0: int,
+        h1: int,
+        h2: int,
+        h3: int,
+        h1_twist: int,
+        ext1: int,
+        component_dim: int,
+    ) -> None:
+        self._assign(
+            N, n, d, rank, c1, slope, h0, h1, h2, h3, h1_twist, ext1, component_dim
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,11 +153,10 @@ def cohomology_table(N: int, n: int, d: int) -> ModuliReport:
         ext1=ext1,
         component_dim=ext1,
     )
-    for field in fields(report):
-        value = getattr(report, field.name)
+    for name, value in zip(report._FIELDS, report._values()):
         # An int is its own numerator, over the denominator 1.
         if max(abs(value.numerator), value.denominator) >= _UNPRINTABLE:
-            raise _too_long(field.name)
+            raise _too_long(name)
     return report
 
 

@@ -9,10 +9,10 @@ serialize identically and member indices are reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import (
     DuplicateMemberError,
     FamilyFormatError,
@@ -31,21 +31,32 @@ MAX_FAMILY_CELLS = 10**6
 _TOKEN_RE = re.compile(r"^[xX](\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """A single monomial, stored as its exponent vector."""
 
-    exponents: tuple[int, ...]
+    _FIELDS = ("exponents",)
+    __slots__ = _FIELDS
 
-    def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
+    # Built once per gcd in the subset oracle and compared once per adjacent
+    # pair in a family's duplicate check, so __init__, __eq__ and __hash__
+    # are written out instead of looping over _FIELDS.
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        exps = tuple(int(e) for e in exponents)
         if len(exps) < 2:
             raise ValueError("a monomial needs at least two variables")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         if sum(exps) > MAX_DEGREE:
             raise ValueError(f"degree {sum(exps)} exceeds the limit {MAX_DEGREE}")
+        object.__setattr__(self, "exponents", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @property
     def var_count(self) -> int:
@@ -180,31 +191,31 @@ def _to_monomial(kind: str, payload, var_count: int) -> Monomial:
         raise FamilyFormatError(str(err)) from None
 
 
-@dataclass(frozen=True)
-class MonomialFamily:
+class MonomialFamily(Value):
     """An ordered set of distinct monomials over a common variable list.
 
     Construction canonicalizes member order, so two families with the same
     member set compare equal and report the same member indices.
     """
 
-    var_count: int
-    members: tuple[Monomial, ...]
+    # No __slots__: the cached ``degrees`` lives in the instance __dict__.
+    _FIELDS = ("var_count", "members")
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
+    def __init__(self, var_count: int, members: tuple[Monomial, ...]) -> None:
+        members = tuple(members)
         if not members:
             raise FamilyFormatError("a family needs at least one member")
         for m in members:
-            if m.var_count != self.var_count:
+            if m.var_count != var_count:
                 raise MismatchedVariablesError(
                     f"member {m} has {m.var_count} variables, family expects "
-                    f"{self.var_count}"
+                    f"{var_count}"
                 )
         ordered = tuple(sorted(members, key=Monomial.canon_key))
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise DuplicateMemberError(f"duplicate member {a}")
+        object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "members", ordered)
 
     @classmethod

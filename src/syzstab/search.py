@@ -112,13 +112,13 @@ import json
 import os
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import accumulate, islice, permutations
 from math import comb, factorial, inf
 from operator import add, itemgetter
 from typing import Callable, Iterator, Optional
 
 from . import criterion
+from ._value import Value
 from .criterion import Stability, _lattice_walk, _scan_band, check_efficient
 from .errors import Error, UnsupportedRangeError
 from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
@@ -164,19 +164,31 @@ _TOKEN_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Value):
     """Outcome of a search run, possibly truncated by the family budget."""
 
-    N: int
-    n: int
-    d: int
-    families_examined: int
-    orbits_examined: int
-    best_status: str
-    best_family: Optional[MonomialFamily]
-    exhausted: bool
-    resume_token: Optional[str] = None
+    _FIELDS = (
+        "N", "n", "d", "families_examined", "orbits_examined", "best_status",
+        "best_family", "exhausted", "resume_token",
+    )
+    __slots__ = _FIELDS
+
+    def __init__(
+        self,
+        N: int,
+        n: int,
+        d: int,
+        families_examined: int,
+        orbits_examined: int,
+        best_status: str,
+        best_family: Optional[MonomialFamily],
+        exhausted: bool,
+        resume_token: Optional[str] = None,
+    ) -> None:
+        self._assign(
+            N, n, d, families_examined, orbits_examined, best_status, best_family,
+            exhausted, resume_token,
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -385,13 +385,13 @@ def test_deep_induction_is_one_pass():
 
 
 # Runs ``syzstab ARGS`` in a fresh interpreter, when given any, and reports
-# on its last stderr line which of numpy, the process pool and the package's
-# modules were loaded.
+# on its last stderr line which of numpy, the process pool, dataclasses,
+# inspect and the package's modules were loaded.
 LOADED_PROBE = """
 import sys
 from syzstab import cli
 rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-heavy = ("numpy", "concurrent.futures.process")
+heavy = ("numpy", "concurrent.futures.process", "dataclasses", "inspect")
 own = sorted(m for m in sys.modules if m.startswith("syzstab."))
 print("loaded:", *(m for m in heavy if m in sys.modules), *own, file=sys.stderr)
 sys.exit(rc)
@@ -435,6 +435,30 @@ def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
     assert "concurrent.futures.process" not in loaded
 
 
+@pytest.mark.parametrize(
+    "args, rc",
+    [
+        ((), 0),
+        (("moduli", "2", "4", "3"), 0),
+        (("moduli", "2", "4", "3", "--json"), 0),
+        (("render", "-"), 0),
+        (("generate", "2", "10", "4"), 0),
+        (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), 3),
+        (("check", "--inline", "x0^2, x1^3, x0 x1^2"), 2),
+        (("check", "--json", "-"), 0),
+        (("generate", "2", "10", "4", "--check", "--json"), 0),
+        (("search", "2", "2", "5"), 0),
+    ],
+)
+def test_subcommands_load_no_dataclasses_or_inspect(args, rc):
+    # The result types are plain value classes, so no process pays for
+    # dataclasses or the inspect module it imports.
+    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
+    assert proc.returncode == rc, proc.stderr
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
 BASE = {"syzstab.cli", "syzstab.errors"}
 
 
@@ -442,14 +466,14 @@ BASE = {"syzstab.cli", "syzstab.errors"}
     "args, modules",
     [
         ((), set()),
-        (("moduli", "2", "4", "3"), {"moduli"}),
-        (("moduli", "2", "4", "3", "--json"), {"moduli"}),
-        (("render", "-"), {"monomial"}),
-        (("generate", "2", "10", "4"), {"families", "monomial"}),
-        (("generate", "2", "10", "4", "--check"), {"families", "monomial", "criterion"}),
-        (("check", "--json", "-"), {"criterion", "monomial"}),
-        (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), {"criterion", "monomial"}),
-        (("search", "2", "2", "5"), {"search", "criterion", "monomial"}),
+        (("moduli", "2", "4", "3"), {"moduli", "_value"}),
+        (("moduli", "2", "4", "3", "--json"), {"moduli", "_value"}),
+        (("render", "-"), {"monomial", "_value"}),
+        (("generate", "2", "10", "4"), {"families", "monomial", "_value"}),
+        (("generate", "2", "10", "4", "--check"), {"families", "monomial", "criterion", "_value"}),
+        (("check", "--json", "-"), {"criterion", "monomial", "_value"}),
+        (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), {"criterion", "monomial", "_value"}),
+        (("search", "2", "2", "5"), {"search", "criterion", "monomial", "_value"}),
     ],
 )
 def test_each_subcommand_loads_only_its_modules(args, modules):

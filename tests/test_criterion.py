@@ -1,5 +1,4 @@
 import gc
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 from syzstab import criterion
 from syzstab.criterion import (
     Stability,
+    StabilityVerdict,
+    SubsetWitness,
     a_seq,
     check_brute_force,
     check_efficient,
@@ -294,22 +295,36 @@ def test_verify_verdict_rejects_broken_verdicts():
     unstable = check_efficient(UNSTABLE_QUINTIC)
     semi = check_efficient(QUADRICS_52)
     w = unstable.violation
+    U, S = Stability.UNSTABLE, Stability.SEMISTABLE_ONLY
+    slope, flag = unstable.family_slope, unstable.criterion_value_only
+    semi_slope, semi_flag = semi.family_slope, semi.criterion_value_only
+    # Each broken verdict below changes one field of these two.
+    assert unstable == StabilityVerdict(U, slope, w, None, flag)
+    assert semi == StabilityVerdict(S, semi_slope, None, semi.equality_witness, semi_flag)
+    low = SubsetWitness(w.indices, w.gcd, w.size, -5, w.family_slope)
+    outside = SubsetWitness((0, 9), w.gcd, w.size, w.quotient, w.family_slope)
     broken = [
-        (UNSTABLE_QUINTIC, replace(unstable, violation=None)),
-        (UNSTABLE_QUINTIC, replace(unstable, equality_witness=w)),
-        (UNSTABLE_QUINTIC, replace(unstable, family_slope=Fraction(-6))),
-        (UNSTABLE_QUINTIC, replace(unstable, status=Stability.STABLE)),
-        (UNSTABLE_QUINTIC, replace(unstable, status=Stability.SEMISTABLE_ONLY)),
-        (UNSTABLE_QUINTIC, replace(unstable, violation=replace(w, quotient=-5))),
-        (UNSTABLE_QUINTIC, replace(unstable, violation=replace(w, indices=(0, 9)))),
+        (UNSTABLE_QUINTIC, StabilityVerdict(U, slope, None, None, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(U, slope, w, w, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(U, Fraction(-6), w, None, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(Stability.STABLE, slope, w, None, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(S, slope, w, None, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(U, slope, low, None, flag)),
+        (UNSTABLE_QUINTIC, StabilityVerdict(U, slope, outside, None, flag)),
         (
             UNSTABLE_QUINTIC,
-            replace(unstable, violation=subset_quotient(UNSTABLE_QUINTIC, (2, 3))),
+            StabilityVerdict(
+                U, slope, subset_quotient(UNSTABLE_QUINTIC, (2, 3)), None, flag
+            ),
         ),
         (
             QUADRICS_52,
-            replace(
-                semi, equality_witness=subset_quotient(QUADRICS_52, (0, 1, 2, 3))
+            StabilityVerdict(
+                S,
+                semi_slope,
+                None,
+                subset_quotient(QUADRICS_52, (0, 1, 2, 3)),
+                semi_flag,
             ),
         ),
     ]

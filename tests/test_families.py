@@ -375,6 +375,19 @@ def test_package_imports_no_numpy():
     assert _package_lines(imports_numpy) == {}
 
 
+def test_package_imports_no_dataclasses():
+    # The result types are plain value classes: dataclasses imports
+    # inspect, which a CLI process would pay for at every start.
+    def imports_dataclasses(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "dataclasses" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "dataclasses"
+        return False
+
+    assert _package_lines(imports_dataclasses) == {}
+
+
 # --- dispatchers ---------------------------------------------------------
 
 

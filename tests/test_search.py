@@ -681,13 +681,13 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
 
 def test_serial_search_builds_only_the_best_family(monkeypatch):
     built = []
-    post_init = MonomialFamily.__post_init__
+    init = MonomialFamily.__init__
 
-    def counting(family):
-        post_init(family)
+    def counting(family, *args, **kwargs):
+        init(family, *args, **kwargs)
         built.append(family)
 
-    monkeypatch.setattr(MonomialFamily, "__post_init__", counting)
+    monkeypatch.setattr(MonomialFamily, "__init__", counting)
     report = exhaustive_search(3, 3, 12)
     assert report.orbits_examined > 100
     assert built == [report.best_family]
