@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from math import comb
 
 from syzstab import criterion
 from syzstab.criterion import (
@@ -31,7 +32,10 @@ def random_family(rng: random.Random, args: argparse.Namespace) -> MonomialFamil
             n = rng.randint(2, min(args.max_size, len(pool)))
             members = rng.sample(pool, n)
         else:
-            n = rng.randint(2, args.max_size)
+            # Never more members than nonzero vectors of degree at most
+            # max_degree, or the draw below would not end.
+            nonzero = comb(args.max_degree + var_count, var_count) - 1
+            n = rng.randint(2, min(args.max_size, nonzero))
             members = set()
             while len(members) < n:
                 d = rng.randint(1, args.max_degree)
@@ -53,6 +57,17 @@ def main() -> int:
     parser.add_argument("--max-degree", type=int, default=8)
     parser.add_argument("--max-size", type=int, default=12)
     args = parser.parse_args()
+    # 2^n subsets per family of n members: the oracle's budget caps n.
+    top = criterion.BRUTE_BUDGET.bit_length() - 1
+    for bad, message in (
+        (args.samples < 1, "--samples must be at least 1"),
+        (args.max_dim < 1, "--max-dim must be at least 1"),
+        (args.max_degree < 1, "--max-degree must be at least 1"),
+        (not 2 <= args.max_size <= top, f"--max-size must be between 2 and {top}"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 1
     if args.seed is None:
         args.seed = random.randrange(2**32)
     print(f"seed: {args.seed}")
@@ -65,8 +80,10 @@ def main() -> int:
         slow = check_brute_force(family)
         fast = check_efficient(family)
         criterion.GRID_LIMIT = 0  # no lattice scan: force the closure
-        closure = check_efficient(family)
-        criterion.GRID_LIMIT = grid_limit
+        try:
+            closure = check_efficient(family)
+        finally:
+            criterion.GRID_LIMIT = grid_limit
         if not slow == fast == closure:
             print(
                 f"MISMATCH at sample {index}:\n  brute:   {slow}\n"

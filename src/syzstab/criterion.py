@@ -47,7 +47,7 @@ from .errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from .monomial import Monomial, MonomialFamily
+from .monomial import Monomial, MonomialFamily, _valid_monomial
 
 BRUTE_BUDGET = 2**24
 GRID_LIMIT = 500_000
@@ -231,7 +231,7 @@ def _verdict(
     exps = (family.members[i].exponents for i in indices)
     witness = SubsetWitness(
         indices=indices,
-        gcd=Monomial(tuple(map(min, *exps))),
+        gcd=_valid_monomial(tuple(map(min, *exps))),
         size=len(indices),
         quotient=quotient,
         family_slope=slope,
@@ -298,7 +298,9 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     """Decide stability by evaluating every proper subset of size >= 2.
 
     The maximizing subset (ties broken by lexicographically smallest index
-    tuple) becomes the witness when the verdict is not stable.
+    tuple) becomes the witness when the verdict is not stable.  Quotients
+    are compared as integer pairs by cross-multiplication; the walk builds
+    an index tuple only for a subset that ties or beats the best so far.
     """
     slope = _validate_for_check(family)
     n = family.n
@@ -307,29 +309,35 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
             f"brute force over {n} members would visit 2^{n} subsets, "
             f"beyond the budget {BRUTE_BUDGET}; use check_efficient instead"
         )
-    members = family.members
+    members, degs = family.members, family.degrees
 
-    best_q: Fraction | None = None
-    best_idx: tuple[int, ...] = ()
+    # The best quotient so far is best_num / best_den; -1 / 0 stands below
+    # every quotient, since denominators are positive.
+    best_num, best_den, best_idx = -1, 0, ()
+    chosen: list[int] = []
 
-    def visit(i: int, chosen: list[int], g: Monomial | None, deg_sum: int):
-        nonlocal best_q, best_idx
+    def visit(i: int, g: Monomial | None, deg_sum: int):
+        nonlocal best_num, best_den, best_idx
         if i == n:
-            k = len(chosen)
-            if 2 <= k < n:
-                q = Fraction(g.degree - deg_sum, k - 1)
-                idx = tuple(chosen)
-                if best_q is None or q > best_q or (q == best_q and idx < best_idx):
-                    best_q, best_idx = q, idx
+            den = len(chosen) - 1
+            if 0 < den < n - 1:
+                num = sum(g.exponents) - deg_sum
+                cross = num * best_den - best_num * den
+                if cross >= 0:
+                    idx = tuple(chosen)
+                    if cross or idx < best_idx:
+                        best_num, best_den, best_idx = num, den, idx
             return
         m = members[i]
         chosen.append(i)
-        visit(i + 1, chosen, m if g is None else g.gcd(m), deg_sum + m.degree)
+        visit(i + 1, m if g is None else g.gcd(m), deg_sum + degs[i])
         chosen.pop()
-        visit(i + 1, chosen, g, deg_sum)
+        visit(i + 1, g, deg_sum)
 
-    visit(0, [], None, 0)
-    return _verdict(family, slope, best_q, best_idx)
+    visit(0, None, 0)
+    if not best_den:
+        return _verdict(family, slope)
+    return _verdict(family, slope, Fraction(best_num, best_den), best_idx)
 
 
 def _closure_masks(family: MonomialFamily):

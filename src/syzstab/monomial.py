@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -37,11 +38,22 @@ class Monomial(Value):
     _FIELDS = ("exponents",)
     __slots__ = _FIELDS
 
-    # Built once per gcd in the subset oracle and compared once per adjacent
+    # Built once per member by the generators and compared once per adjacent
     # pair in a family's duplicate check, so __init__, __eq__ and __hash__
-    # are written out instead of looping over _FIELDS.
+    # are written out instead of looping over _FIELDS.  Gcds of valid
+    # monomials skip __init__ through ``_valid_monomial``.
     def __init__(self, exponents: tuple[int, ...]) -> None:
-        exps = tuple(int(e) for e in exponents)
+        try:
+            exps = tuple(map(index, exponents))
+        except TypeError:
+            # ``index`` refuses floats and strings, which ``int`` would
+            # truncate or parse; name the first such exponent.
+            for e in exponents:
+                try:
+                    index(e)
+                except TypeError:
+                    raise ValueError(f"exponent {e!r} is not an integer") from None
+            raise
         if len(exps) < 2:
             raise ValueError("a monomial needs at least two variables")
         if any(e < 0 for e in exps):
@@ -72,12 +84,12 @@ class Monomial(Value):
 
     def gcd(self, other: Monomial) -> Monomial:
         """Componentwise minimum of the two exponent vectors."""
-        if other.var_count != self.var_count:
+        if len(other.exponents) != len(self.exponents):
             raise MismatchedVariablesError(
                 f"cannot combine monomials over {self.var_count} and "
                 f"{other.var_count} variables"
             )
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
+        return _valid_monomial(tuple(map(min, self.exponents, other.exponents)))
 
     def canon_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key: degree ascending, then exponents descending-lex."""
@@ -100,6 +112,22 @@ class Monomial(Value):
             elif e > 1:
                 parts.append(f"x{i}^{e}")
         return " ".join(parts)
+
+
+_new_object = object.__new__
+_set_exponents = Monomial.exponents.__set__
+
+
+def _valid_monomial(exponents: tuple[int, ...]) -> Monomial:
+    """A ``Monomial`` over ``exponents`` without ``__init__``'s checks.
+
+    Only for a componentwise minimum of valid monomials' exponent tuples
+    over one variable count, which is as long as they are, nonnegative,
+    of no larger degree and already a tuple of ints.  The subset oracle
+    builds one per subset it visits."""
+    m = _new_object(Monomial)
+    _set_exponents(m, exponents)
+    return m
 
 
 def _parse_int(text: str) -> int:
@@ -250,7 +278,7 @@ class MonomialFamily(Value):
 
     def overall_gcd(self) -> Monomial:
         exps = zip(*(m.exponents for m in self.members))
-        return Monomial(tuple(map(min, exps)))
+        return _valid_monomial(tuple(map(min, exps)))
 
     def is_m_primary(self) -> bool:
         """True when the family contains a pure power of every variable,

@@ -6,7 +6,7 @@ from math import comb
 from operator import le
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from syzstab import criterion
@@ -579,3 +579,131 @@ def test_status_invariant_under_exponent_scaling(fam, c):
     stretched = check_efficient(scaled)
     assert original.status is stretched.status
     assert stretched.family_slope == c * original.family_slope
+
+
+def reference_oracle(family: MonomialFamily) -> StabilityVerdict:
+    """The subset oracle before integer comparisons: the same include-first
+    walk over every subset, one ``Fraction`` per subset compared through
+    ``Fraction``, validated ``Monomial`` gcds, and the verdict assembled
+    here rather than by the checkers' shared helper."""
+    n, members = family.n, family.members
+    best_q, best_idx = None, ()
+
+    def visit(i, chosen, g, deg_sum):
+        nonlocal best_q, best_idx
+        if i == n:
+            k = len(chosen)
+            if 2 <= k < n:
+                q = Fraction(g.degree - deg_sum, k - 1)
+                idx = tuple(chosen)
+                if best_q is None or q > best_q or (q == best_q and idx < best_idx):
+                    best_q, best_idx = q, idx
+            return
+        m = members[i]
+        chosen.append(i)
+        visit(i + 1, chosen, m if g is None else g.gcd(m), deg_sum + m.degree)
+        chosen.pop()
+        visit(i + 1, chosen, g, deg_sum)
+
+    visit(0, [], None, 0)
+    slope = Fraction(-family.degree_sum, n - 1)
+    flag = not family.is_m_primary()
+    if best_q is None or best_q < slope:
+        return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
+    witness = SubsetWitness(
+        best_idx,
+        Monomial(tuple(map(min, *(members[i].exponents for i in best_idx)))),
+        len(best_idx),
+        best_q,
+        slope,
+    )
+    if best_q == slope:
+        return StabilityVerdict(
+            Stability.SEMISTABLE_ONLY, slope, None, witness, flag
+        )
+    return StabilityVerdict(Stability.UNSTABLE, slope, witness, None, flag)
+
+
+@st.composite
+def oracle_families(draw):
+    """Gcd-1 families in 2 to 4 variables with 2 to 12 members: equal
+    degree d <= 6 half the time, exponents up to 4 otherwise."""
+    var_count = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=6))
+        pool = list(exponent_vectors_of_degree(var_count, d))
+        members = draw(
+            st.lists(
+                st.sampled_from(pool),
+                min_size=2,
+                max_size=min(12, len(pool)),
+                unique=True,
+            )
+        )
+    else:
+        vector = st.tuples(*[st.integers(min_value=0, max_value=4)] * var_count)
+        members = draw(
+            st.lists(vector.filter(any), min_size=2, max_size=12, unique=True)
+        )
+    family = MonomialFamily.of(members)
+    assume(family.overall_gcd().is_unit)
+    return family
+
+
+# Families whose largest quotient is reached by several subsets, each with
+# the witness the lexicographically smallest of them gives.  The walk
+# visits an extension such as (0, 1, 2) before the tuple (0, 1) itself, and
+# (0, 1, 2) before (1, 2), so a tie must be settled by comparing tuples and
+# not by the order of the walk.
+TIE_FAMILIES = [
+    # Twisted cubic: (0, 1), (1, 2), (2, 3), (0, 1, 2) and (1, 2, 3) all
+    # lie on the slope.
+    ([(3, 0), (2, 1), (1, 2), (0, 3)], Stability.SEMISTABLE_ONLY, (0, 1)),
+    # (0, 1) ties with its own extension (0, 1, 2), above the slope.
+    ([(0, 1, 0), (3, 0, 1), (2, 0, 3), (0, 3, 3)], Stability.UNSTABLE, (0, 1)),
+    # (0, 1, 2) ties with (1, 2), which the walk reaches later.
+    ([(3, 0, 0), (0, 2, 2), (1, 3, 1), (3, 2, 2)], Stability.UNSTABLE, (0, 1, 2)),
+    # Equal degree: (1, 2), (2, 3) and (1, 2, 3).
+    ([(3, 0, 2), (2, 3, 0), (1, 3, 1), (0, 3, 2)], Stability.UNSTABLE, (1, 2)),
+    # (0, 1) and (0, 2) on the slope, (0, 1) reached first.
+    ([(2, 0), (0, 2), (3, 1)], Stability.SEMISTABLE_ONLY, (0, 1)),
+    # Mixed: six maximizers, prefixes and extensions among them.
+    ([(0, 1), (2, 0), (2, 1), (1, 2)], Stability.SEMISTABLE_ONLY, (0, 1)),
+]
+
+
+@pytest.mark.parametrize("members, status, indices", TIE_FAMILIES)
+def test_oracle_ties_go_to_the_smallest_index_tuple(members, status, indices):
+    fam = MonomialFamily.of(members)
+    verdict = check_brute_force(fam)
+    assert verdict == reference_oracle(fam)
+    assert verdict.status is status
+    witness = verdict.violation or verdict.equality_witness
+    assert witness.indices == indices
+    # Every maximizer, by the definition, and the witness is the least.
+    quotients = {
+        idx: subset_quotient(fam, idx).quotient
+        for k in range(2, fam.n)
+        for idx in combinations(range(fam.n), k)
+    }
+    top = max(quotients.values())
+    tied = sorted(idx for idx, q in quotients.items() if q == top)
+    assert len(tied) >= 2 and tied[0] == indices
+    assert verdict == check_efficient(fam) == check_closure(fam)
+
+
+@given(oracle_families())
+@example(MonomialFamily.of([(1, 0), (0, 1)]))
+@example(MonomialFamily.of([(MAX_DEGREE, 0), (0, MAX_DEGREE), (MAX_DEGREE - 1, 1)]))
+@example(MonomialFamily.of(list(exponent_vectors_of_degree(3, 4))[:12]))
+@example(
+    MonomialFamily.of(
+        [(4, 0, 0), (0, 4, 0), (0, 0, 3), (1, 1, 0), (2, 0, 1), (0, 2, 2),
+         (1, 1, 1), (3, 1, 0), (0, 1, 3), (2, 2, 0), (1, 0, 2), (4, 4, 4)]
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_fraction_reference(fam):
+    # Whole verdicts: status, slope, witness indices, gcd, size, quotient
+    # and the m-primary flag.
+    assert check_brute_force(fam) == reference_oracle(fam)

@@ -1,4 +1,7 @@
+import copy
 import os
+import pickle
+import re
 import resource
 import subprocess
 import sys
@@ -17,6 +20,7 @@ from syzstab.errors import (
     MismatchedVariablesError,
 )
 from syzstab.monomial import (
+    MAX_DEGREE,
     MAX_FAMILY_CELLS,
     Monomial,
     MonomialFamily,
@@ -41,14 +45,50 @@ def test_monomial_validation():
         Monomial((10**6, 1))  # degree over the cap
 
 
+@pytest.mark.parametrize(
+    "exponents, shown",
+    [
+        ((1.7, 2), "1.7"),
+        ((2.0, 1), "2.0"),
+        ((0, 1, 0.5), "0.5"),
+        (("3", "4"), "'3'"),
+        ((3, None), "None"),
+    ],
+)
+def test_monomial_refuses_non_integral_exponents(exponents, shown):
+    # int() would truncate 1.7 to 1 and read "3" as 3; the exponent is
+    # refused instead, by name.
+    with pytest.raises(ValueError, match=f"^exponent {re.escape(shown)} is not an integer$"):
+        Monomial(exponents)
+
+
+def test_family_refuses_non_integral_exponents():
+    with pytest.raises(ValueError, match="exponent 1.9 is not an integer"):
+        MonomialFamily.of([(1.9, 0.2), (0, 2)])
+    with pytest.raises(ValueError, match="exponent '2' is not an integer"):
+        MonomialFamily.of([(1, 1), ("2", 0)])
+
+
+def test_monomial_accepts_integer_like_exponents():
+    np = pytest.importorskip("numpy")
+    for exponents in ((True, 2), (np.int64(1), np.uint8(2)), np.array([1, 2])):
+        m = Monomial(exponents)
+        assert m == Monomial((1, 2))
+        assert all(type(e) is int for e in m.exponents)
+        assert repr(m) == "Monomial(exponents=(1, 2))"
+
+
 def test_gcd_and_divides():
     a = Monomial((5, 0, 3))
     b = Monomial((2, 4, 4))
     assert a.gcd(b) == Monomial((2, 0, 3))
     assert all(map(le, a.gcd(b).exponents, a.exponents))
     assert not all(map(le, a.exponents, b.exponents))
-    with pytest.raises(MismatchedVariablesError):
-        a.gcd(Monomial((1, 2)))
+    for other in (Monomial((1, 2)), Monomial((1, 2, 3, 4))):
+        with pytest.raises(MismatchedVariablesError, match="over 3 and"):
+            a.gcd(other)
+        with pytest.raises(MismatchedVariablesError, match="and 3 variables"):
+            other.gcd(a)
 
 
 def test_parse_and_str_forms():
@@ -218,6 +258,17 @@ def test_exponent_vectors_of_degree():
             assert len(monos) == comb(var_count - 1 + degree, degree)
 
 
+def _same_value(g, reference):
+    """``g`` and ``reference`` are one value to every consumer of it."""
+    assert g == reference and reference == g
+    assert hash(g) == hash(reference)
+    assert repr(g) == repr(reference)
+    for again in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert again == reference
+        assert repr(again) == repr(reference)
+        assert type(again) is Monomial
+
+
 @st.composite
 def monomials(draw, var_count=None):
     v = var_count or draw(st.integers(min_value=2, max_value=5))
@@ -238,10 +289,26 @@ def test_gcd_properties(data):
     a = data.draw(monomials(var_count=v))
     b = data.draw(monomials(var_count=v))
     g = a.gcd(b)
+    # Built without re-running __init__'s checks, but the very value
+    # __init__ gives for the componentwise minimum.
+    _same_value(g, Monomial(tuple(map(min, a.exponents, b.exponents))))
     assert g == b.gcd(a)
     assert all(map(le, g.exponents, a.exponents))
     assert all(map(le, g.exponents, b.exponents))
     assert a.gcd(a) == a
+
+
+def test_gcd_at_the_degree_cap():
+    a = Monomial((MAX_DEGREE, 0, 0))
+    b = Monomial((MAX_DEGREE - 1, 1, 0))
+    c = Monomial((0, 0, MAX_DEGREE))
+    _same_value(a.gcd(b), Monomial((MAX_DEGREE - 1, 0, 0)))
+    _same_value(a.gcd(a), a)
+    _same_value(a.gcd(c), Monomial((0, 0, 0)))
+    assert a.gcd(b).degree == MAX_DEGREE - 1
+    fam = MonomialFamily.of([a, b, c])
+    _same_value(fam.overall_gcd(), Monomial((0, 0, 0)))
+    _same_value(MonomialFamily.of([a, b]).overall_gcd(), Monomial((MAX_DEGREE - 1, 0, 0)))
 
 
 @given(st.integers(2, 4), st.integers(0, 6))

@@ -60,6 +60,42 @@ def test_oracle_fuzz_script_agrees():
     assert lines[-1] == "all verdicts agree; all witnesses re-validate"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--samples", "-3"], "--samples must be at least 1"),
+        (["--samples", "0"], "--samples must be at least 1"),
+        (["--max-dim", "0"], "--max-dim must be at least 1"),
+        (["--max-degree", "0"], "--max-degree must be at least 1"),
+        (["--max-size", "1"], "--max-size must be between 2 and 24"),
+        (["--max-size", "25"], "--max-size must be between 2 and 24"),
+    ],
+)
+def test_oracle_fuzz_script_rejects_bad_flags_before_any_sample(args, message):
+    # No family has fewer than two variables, degree 0 or one member, the
+    # oracle refuses more than 24 members, and no samples checks nothing.
+    proc = run_script("run_oracle_fuzz.py", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_oracle_fuzz_script_draws_from_a_small_space():
+    # Two variables in degree 1 give only x0 and x1: a mixed draw of up to
+    # twelve members must stop at two.
+    proc = run_script(
+        "run_oracle_fuzz.py", "--samples", "20", "--seed", "1",
+        "--max-dim", "1", "--max-degree", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-4:] == [
+        "stable: 20",
+        "semistable-only: 0",
+        "unstable: 0",
+        "all verdicts agree; all witnesses re-validate",
+    ]
+
+
 def test_search_digest_is_unchanged():
     # Every (N <= 4, d <= 5, n) search of at most 2,000 families, whole and
     # cut at budgets 1, T/3 and T - 1 then resumed: the digest of their
