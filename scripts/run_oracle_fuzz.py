@@ -2,7 +2,7 @@
 """Differential fuzzing of the two checkers: draw random families (equal
 and mixed degree), run the exponential subset scan and the candidate-gcd
 checker on each, the latter on its default path and forced onto the
-gcd-closure scan, and require identical verdicts, witness included, whose
+closed-cell scan, and require identical verdicts, witness included, whose
 witness re-validates exactly through verify_verdict."""
 
 from __future__ import annotations
@@ -22,23 +22,26 @@ from syzstab.criterion import (
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 
 
-def random_family(rng: random.Random, args: argparse.Namespace) -> MonomialFamily:
-    """A random gcd-1 family, equal-degree half the time, mixed otherwise."""
+def random_family(
+    rng: random.Random, max_dim: int = 3, max_degree: int = 8, max_size: int = 12
+) -> MonomialFamily:
+    """A random gcd-1 family, equal-degree half the time, mixed otherwise.
+    At the default bounds this is acceptance test 1's distribution."""
     while True:
-        var_count = rng.randint(2, args.max_dim + 1)
+        var_count = rng.randint(2, max_dim + 1)
         if rng.random() < 0.5:
-            d = rng.randint(1, args.max_degree)
+            d = rng.randint(1, max_degree)
             pool = list(exponent_vectors_of_degree(var_count, d))
-            n = rng.randint(2, min(args.max_size, len(pool)))
+            n = rng.randint(2, min(max_size, len(pool)))
             members = rng.sample(pool, n)
         else:
             # Never more members than nonzero vectors of degree at most
             # max_degree, or the draw below would not end.
-            nonzero = comb(args.max_degree + var_count, var_count) - 1
-            n = rng.randint(2, min(args.max_size, nonzero))
+            nonzero = comb(max_degree + var_count, var_count) - 1
+            n = rng.randint(2, min(max_size, nonzero))
             members = set()
             while len(members) < n:
-                d = rng.randint(1, args.max_degree)
+                d = rng.randint(1, max_degree)
                 vec = [0] * var_count
                 for _ in range(d):
                     vec[rng.randrange(var_count)] += 1
@@ -76,10 +79,10 @@ def main() -> int:
     counts = {status: 0 for status in Stability}
     grid_limit = criterion.GRID_LIMIT
     for index in range(args.samples):
-        family = random_family(rng, args)
+        family = random_family(rng, args.max_dim, args.max_degree, args.max_size)
         slow = check_brute_force(family)
         fast = check_efficient(family)
-        criterion.GRID_LIMIT = 0  # no lattice scan: force the closure
+        criterion.GRID_LIMIT = 0  # no lattice scan: force the closed-cell scan
         try:
             closure = check_efficient(family)
         finally:

@@ -22,11 +22,15 @@ divisible by the current cell as the bits of one int, and prunes every
 branch that can hold no candidate.  That walk, ``_lattice_walk``, is
 shared: ``exhaustive_search`` runs it on its own masks to decide each
 orbit representative.  The scan is taken when the box has at most
-``GRID_LIMIT`` cells; every other family takes the gcd closure, built
-over rank-coded thermometer ints whose AND is the gcd.  The
-oracle visits at most ``BRUTE_BUDGET`` subsets and the closure holds at
-most ``CLOSURE_LIMIT`` gcds; both raise ``CapacityError`` beyond.  All
-three limits are read at call time.
+``GRID_LIMIT`` cells; every other family takes the closed-cell scan.  It
+walks the gcds of subsets of members (the closed cells) depth-first, each
+once, raising one variable at a time through that variable's distinct
+exponents and ANDing in a threshold mask, and keeps no table of the gcds
+it has seen.  An equal-degree family there drops every cell with too few
+multiples to hold a candidate.  The oracle visits at most
+``BRUTE_BUDGET`` subsets and the closed-cell scan at most
+``CLOSURE_LIMIT`` cells, the gcd closure's size when unpruned; both raise
+``CapacityError`` beyond.  All three limits are read at call time.
 
 Both report the same witness for a verdict that is not stable: the subset
 with the largest quotient, ties going to the lexicographically smallest
@@ -38,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import comb, prod
+from math import comb, inf, prod
 
 from ._value import Value
 from .errors import (
@@ -340,48 +344,54 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     return _verdict(family, slope, Fraction(best_num, best_den), best_idx)
 
 
-def _closure_masks(family: MonomialFamily):
-    """Every gcd of a nonempty subset of members, as a rank code mapped to
-    the bitmask of the members it divides, and the decoder of those codes
-    into exponent tuples.
+def _closed_cells(family: MonomialFamily, k_min: int = 1):
+    """Every closed cell with at least ``k_min`` multiples, once each, as
+    (rungs, degree, mask of its multiples, number of multiples).
 
-    A member's code holds one thermometer field per variable: as many ones
-    as the rank of its exponent among the column's distinct values.  The
-    rank of a minimum is the minimum of the ranks, so the gcd of two codes
-    is their AND, and a field is at most n - 1 bits wide whatever the
-    exponents.  The closure is built member by member as
-    C <- C u {gcd(c, m) : c in C} u {m}.  A new gcd g divides m and exactly
-    the earlier members that some c with gcd(c, m) = g divides (the gcd of
-    g's earlier multiples is such a c), so its mask is the union of theirs
-    plus m's bit.
+    A rung is a tuple ``(value, above, next)``: one of a column's distinct
+    exponents, the mask of the members whose exponent exceeds it (bit i
+    for member i), and the rung of the next larger value; the last rung
+    has value infinity and nothing above.  A cell holds one rung per
+    variable, so its exponents are the rungs' values and its multiples are
+    the members that no ``above`` excludes.  It is closed when it is the
+    gcd of its multiples, that is no ``above`` holds the whole mask, so
+    the closed cells are exactly the gcds of nonempty subsets.  The walk is
+    depth-first by prefix-preserving closure extension (Uno, Kiyomi and
+    Arimura, "LCM ver. 2", FIMI 2004): from a closed cell reached by
+    raising variable ``core``, raise a variable j >= core to its next rung,
+    close the cell by raising every variable while the mask fits inside
+    its ``above``, and keep the child only if no variable before j would
+    rise.  Each closed cell then has exactly one parent.  Masks only
+    shrink along the walk, so a child with fewer than ``k_min`` multiples
+    is dropped with everything below it.  Raises ``CapacityError`` on
+    visiting more than ``CLOSURE_LIMIT`` cells.
     """
-    codes = [0] * family.n
-    fields, shift = [], 0
+    bits, root = [1 << i for i in range(family.n)], []
     for column in zip(*(m.exponents for m in family.members)):
-        values = sorted(set(column))
-        ones = {e: (1 << r) - 1 for r, e in enumerate(values)}
-        for i, e in enumerate(column):
-            codes[i] |= ones[e] << shift
-        fields.append((shift, (1 << len(values) - 1) - 1, values))
-        shift += len(values) - 1
-
-    def decode(code: int) -> tuple[int, ...]:
-        return tuple(
-            [values[(code >> at & full).bit_count()] for at, full, values in fields]
-        )
-
-    closure: dict[int, int] = {}
-    for i, e in enumerate(codes):
-        bit = 1 << i
-        for c, mask in list(closure.items()):
-            g = c & e
-            closure[g] = closure.get(g, 0) | mask | bit
-        closure[e] = closure.get(e, 0) | bit
-        # A member at most doubles the closure, so it never holds more
-        # than 2 * CLOSURE_LIMIT + 1 gcds before this raises.
-        if len(closure) > CLOSURE_LIMIT:
+        rung, above = (inf, 0, None), 0
+        for e, bit in sorted(zip(column, bits), reverse=True):
+            if e < rung[0]:
+                rung = (e, above, rung)
+            above |= bit
+        root.append(rung)
+    stack, visited = [(root, (1 << family.n) - 1, family.n, 0)], 0
+    while stack:
+        rungs, mask, k, core = stack.pop()
+        visited += 1
+        if visited > CLOSURE_LIMIT:
             raise CapacityError(f"gcd closure exceeded {CLOSURE_LIMIT} elements")
-    return closure, decode
+        yield rungs, sum([rung[0] for rung in rungs]), mask, k
+        for j in range(core, len(rungs)):
+            m = mask & rungs[j][1]
+            k = m.bit_count()
+            if k < k_min or any(m & rung[1] == m for rung in rungs[:j]):
+                continue  # too few multiples, or a variable before j would rise
+            child = rungs[:j]
+            for rung in rungs[j:]:
+                while m & rung[1] == m:
+                    rung = rung[2]
+                child.append(rung)
+            stack.append((child, m, k, j))
 
 
 def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
@@ -391,31 +401,40 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     factor, the unit.  Raises ``CapacityError`` beyond ``CLOSURE_LIMIT``
     elements.
     """
-    closure, decode = _closure_masks(family)
-    return tuple(sorted(map(Monomial, map(decode, closure)), key=Monomial.canon_key))
+    gcds = [Monomial(tuple([r[0] for r in cell[0]])) for cell in _closed_cells(family)]
+    return tuple(sorted(gcds, key=Monomial.canon_key))
 
 
 def _closure_candidates(family: MonomialFamily, slope: Fraction):
-    """For every gcd-closure element g and size k, the k-prefix of g's
-    multiples in canonical order, as (numerator, denominator, prefix) of
-    the quotient bound (deg g - degree sum) / (k - 1), where ``prefix`` is
-    the mask of the k lowest bits of g's multiples; only bounds at or above
-    the slope."""
-    degs, top = family.degrees, family.n - 1
+    """Candidates from the closed cells, as (numerator, denominator, mask).
+
+    An equal-degree-d family gives each cell's full multiple set, the
+    largest quotient for that gcd, only margins at or below zero, and
+    drops every cell with fewer multiples than ``_scan_band``'s ``k_min``.
+    A cell of degree t above that band's ``top`` has at most
+    C(d-t+v-1, v-1) < ``k_min`` multiples, so the degree bound holds too.
+    Any other family gives, for every cell g and size k, the k-prefix of
+    g's multiples in canonical order, with the quotient bound
+    (deg g - degree sum) / (k - 1), where the prefix is the mask of the k
+    lowest bits of g's multiples; only bounds at or above the slope."""
+    n, degs = family.n, family.degrees
+    if family.is_equal_degree:
+        d = degs[0]
+        k_min = _scan_band(n, d, family.var_count)[1]
+        for _, t, mask, k in _closed_cells(family, k_min):
+            if t and (d - t) * n + t <= d * k:
+                yield t - d * k, k - 1, mask
+        return
     slope_num, slope_den = slope.numerator, slope.denominator
-    closure, decode = _closure_masks(family)
-    for code, mask in closure.items():
-        if not mask & (mask - 1):
-            continue  # a single multiple gives no subset
-        base, total, k, rest = sum(decode(code)), 0, 0, mask
-        while rest and k < top:
+    for _, num, mask, _ in _closed_cells(family, 2):
+        k, rest = 0, mask
+        while rest and k < n - 1:
             low = rest & -rest
             rest ^= low
-            total += degs[low.bit_length() - 1]
+            num -= degs[low.bit_length() - 1]
+            if k and num * slope_den >= slope_num * k:
+                yield num, k, mask ^ rest
             k += 1
-            num = base - total
-            if k >= 2 and num * slope_den >= slope_num * (k - 1):
-                yield num, k - 1, mask ^ rest
 
 
 def _lattice_box(family: MonomialFamily, d: int) -> tuple[int, ...]:
@@ -519,8 +538,9 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
     ``GRID_LIMIT`` cells take their candidates from the lattice scan of
     that box, where only full multiple sets matter because the quotient
-    grows with k; all others from the gcd closure.  Verdicts equal
-    ``check_brute_force``'s.
+    grows with k; all others from the closed-cell scan, which visits each
+    gcd of a subset once and raises ``CapacityError`` past
+    ``CLOSURE_LIMIT`` visits.  Verdicts equal ``check_brute_force``'s.
     """
     slope = _validate_for_check(family)
     d = family.degrees[0]

@@ -1,8 +1,11 @@
+import hashlib
+import importlib.util
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,16 @@ from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 from syzstab.search import NONE_SEMISTABLE, exhaustive_search
 
 RANDOM_SEED = 20260825
+# SHA-256 of the to_text() of the 10,000 seeded random families of test 1.
+RANDOM_FAMILIES_SHA256 = (
+    "eb1aa5142d1088d8922eb1fd4a40e125fb9921693a1bf3161bb4ace7e0b02680"
+)
+
+# The fuzzing script's random_family draws acceptance test 1's families.
+_FUZZ = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_fuzz.py"
+_spec = importlib.util.spec_from_file_location("run_oracle_fuzz", _FUZZ)
+run_oracle_fuzz = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_oracle_fuzz)
 
 
 def all_plane_m_primary_families(d_max, n_max):
@@ -39,34 +52,11 @@ def all_plane_m_primary_families(d_max, n_max):
                 yield MonomialFamily.of(pure + list(extra))
 
 
-def random_gcd_one_family(rng, max_dim=3, max_degree=8, max_size=12):
-    while True:
-        var_count = rng.randint(2, max_dim + 1)
-        if rng.random() < 0.5:
-            d = rng.randint(1, max_degree)
-            pool = list(exponent_vectors_of_degree(var_count, d))
-            n = rng.randint(2, min(max_size, len(pool)))
-            members = rng.sample(pool, n)
-        else:
-            n = rng.randint(2, max_size)
-            members = set()
-            while len(members) < n:
-                d = rng.randint(1, max_degree)
-                vec = [0] * var_count
-                for _ in range(d):
-                    vec[rng.randrange(var_count)] += 1
-                members.add(tuple(vec))
-            members = sorted(members)
-        family = MonomialFamily.of(members, var_count=var_count)
-        if family.overall_gcd().is_unit:
-            return family
-
-
 def test_subset_oracle_and_divisor_scan_agree_everywhere():
     # Exhaustive over small plane families, then a large seeded random
     # sample including mixed degrees and up to four variables.  Whole
     # verdicts must agree, witness included, on the default path and on
-    # the forced gcd-closure scan.
+    # the forced closed-cell scan.
     def agree(family):
         slow = check_brute_force(family)
         fast = check_efficient(family)
@@ -83,8 +73,12 @@ def test_subset_oracle_and_divisor_scan_agree_everywhere():
     assert count == 902
 
     rng = random.Random(RANDOM_SEED)
+    digest = hashlib.sha256()
     for _ in range(10_000):
-        agree(random_gcd_one_family(rng))
+        family = run_oracle_fuzz.random_family(rng)
+        digest.update(family.to_text().encode())
+        agree(family)
+    assert digest.hexdigest() == RANDOM_FAMILIES_SHA256
 
 
 def test_exact_fixture_verdicts():

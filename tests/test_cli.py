@@ -547,8 +547,8 @@ def test_plane_check_keeps_its_json_without_numpy():
 
 
 def test_huge_exponents_stay_cheap():
-    # Mixed degrees near MAX_DEGREE take the gcd closure, whose rank codes
-    # are at most n - 1 bits per variable whatever the exponents.
+    # Mixed degrees near MAX_DEGREE take the closed-cell scan, which steps
+    # through each variable's distinct exponents whatever their size.
     inline = ["--inline", "x0^1000000, x1^1000000, x0^999999 x1, x0^500000 x1^499999"]
     fast, brute = (
         subprocess.run(

@@ -1,8 +1,9 @@
 import gc
+import json
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from operator import le
 
 import pytest
@@ -29,6 +30,7 @@ from syzstab.errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
+from syzstab.families import generate
 from syzstab.monomial import (
     MAX_DEGREE,
     Monomial,
@@ -38,7 +40,7 @@ from syzstab.monomial import (
 
 
 def check_closure(family: MonomialFamily):
-    """``check_efficient`` forced onto the gcd-closure scan."""
+    """``check_efficient`` forced onto the closed-cell scan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(criterion, "GRID_LIMIT", 0)
         return check_efficient(family)
@@ -223,16 +225,22 @@ def test_gcd_closure_is_exactly_the_subset_gcds(members):
 
 
 def test_gcd_closure_capacity(monkeypatch):
-    # Six gcds: the three members, x0, x1 and the unit.
-    fam = MonomialFamily.of([(2, 0), (1, 1), (0, 2)])
-    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 3)
-    with pytest.raises(CapacityError):
-        gcd_closure(fam)
-    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 5)
-    with pytest.raises(CapacityError):
-        gcd_closure(fam)
-    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 6)
-    assert len(gcd_closure(fam)) == 6
+    # The scan raises on its (CLOSURE_LIMIT + 1)-th gcd, not before.  The
+    # first family's six gcds: the three members, x0, x1 and the unit.
+    for members, size in (
+        ([(2, 0), (1, 1), (0, 2)], 6),
+        ([(2, 0), (0, 3), (1, 2)], 6),
+        ([(3, 1, 0), (0, 2, 2), (1, 0, 3), (2, 2, 0)], 10),
+    ):
+        fam = MonomialFamily.of(members)
+        monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 3)
+        with pytest.raises(CapacityError):
+            gcd_closure(fam)
+        monkeypatch.setattr(criterion, "CLOSURE_LIMIT", size - 1)
+        with pytest.raises(CapacityError):
+            gcd_closure(fam)
+        monkeypatch.setattr(criterion, "CLOSURE_LIMIT", size)
+        assert len(gcd_closure(fam)) == size
 
 
 def test_brute_force_capacity(monkeypatch):
@@ -251,15 +259,17 @@ def test_brute_force_capacity(monkeypatch):
 
 
 def test_mixed_checker_capacity(monkeypatch):
-    # MIXED_SEMI's closure: its three members, x0, x1^2 and the unit.
+    # MIXED_SEMI's closure: its three members, x0, x1^2 and the unit.  A
+    # single member is no subset, so the checker visits only the last
+    # three, and CLOSURE_LIMIT caps those visits.
     monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 2)
     with pytest.raises(CapacityError):
         check_closure(MIXED_SEMI)
-    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 5)
     with pytest.raises(CapacityError):
         check_efficient(MIXED_SEMI)
-    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 6)
+    monkeypatch.setattr(criterion, "CLOSURE_LIMIT", 3)
     assert check_closure(MIXED_SEMI) == check_brute_force(MIXED_SEMI)
+    assert check_efficient(MIXED_SEMI) == check_brute_force(MIXED_SEMI)
 
 
 @pytest.mark.parametrize("check", [check_brute_force, check_efficient])
@@ -340,13 +350,13 @@ def test_grid_and_closure_paths_agree(monkeypatch):
     # GRID_LIMIT counts the cells of the clipped exponent box: 5 * 5 * 5
     # for the quintic, whose exponents clip to at most d - 1 = 4.
     closure_calls = []
-    closure_masks = criterion._closure_masks
+    closed_cells = criterion._closed_cells
 
     def counting(*args):
         closure_calls.append(args)
-        return closure_masks(*args)
+        return closed_cells(*args)
 
-    monkeypatch.setattr(criterion, "_closure_masks", counting)
+    monkeypatch.setattr(criterion, "_closed_cells", counting)
     verdicts = []
     for limit, closure_count in ((125, 0), (124, 1), (0, 2)):
         monkeypatch.setattr(criterion, "GRID_LIMIT", limit)
@@ -503,8 +513,9 @@ def mixed_families(draw):
 
 
 def _tuple_closure_masks(family: MonomialFamily) -> dict[tuple[int, ...], int]:
-    """Reference for the rank-coded closure: the same member-by-member
-    build over exponent tuples, with the gcd taken coordinate-wise."""
+    """Reference for the closed-cell scan: the gcd closure built member by
+    member over exponent tuples, each gcd mapped to the mask of the
+    members it divides, with the gcd taken coordinate-wise."""
     closure: dict[tuple[int, ...], int] = {}
     for i, m in enumerate(family.members):
         e, bit = m.exponents, 1 << i
@@ -532,15 +543,64 @@ def closure_families(draw):
     return MonomialFamily.of(members)
 
 
-@given(st.one_of(closure_families(), mixed_families(), equal_degree_families()))
+any_family = st.one_of(closure_families(), mixed_families(), equal_degree_families())
+
+
+@given(any_family)
 @example(MonomialFamily.of([(2, 0), (0, 3), (1, 2)]))
 @example(MonomialFamily.of([(MAX_DEGREE, 0), (0, MAX_DEGREE), (MAX_DEGREE - 1, 1)]))
 @settings(max_examples=200, deadline=None)
-def test_rank_coded_closure_matches_tuple_reference(fam):
-    closure, decode = criterion._closure_masks(fam)
-    decoded = {decode(code): mask for code, mask in closure.items()}
-    assert len(decoded) == len(closure)
-    assert decoded == _tuple_closure_masks(fam)
+def test_closed_cell_scan_matches_tuple_reference(fam):
+    # Every gcd of a nonempty subset is visited exactly once, with the mask
+    # of its multiples and its degree.
+    visited = [
+        (tuple(rung[0] for rung in rungs), t, mask, k)
+        for rungs, t, mask, k in criterion._closed_cells(fam)
+    ]
+    cells = [cell for cell, _, _, _ in visited]
+    assert len(cells) == len(set(cells))
+    assert {cell: mask for cell, _, mask, _ in visited} == _tuple_closure_masks(fam)
+    assert all(t == sum(cell) and k == mask.bit_count() for cell, t, mask, k in visited)
+
+
+@given(any_family)
+@settings(max_examples=150, deadline=None)
+def test_checker_answers_within_the_closure_size(fam):
+    # A pruned scan visits no more cells than the family has gcds of
+    # subsets, so a CLOSURE_LIMIT of that size never raises.
+    assume(fam.overall_gcd().is_unit and fam.n >= 2)
+    expected = check_efficient(fam), check_closure(fam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criterion, "CLOSURE_LIMIT", len(_tuple_closure_masks(fam)))
+        assert (check_efficient(fam), check_closure(fam)) == expected
+
+
+def test_pruned_scan_on_the_fallback_family():
+    # generate(6, 80, 20): 80 members of degree 20 in seven variables, a
+    # lattice box past GRID_LIMIT.  The scan drops every cell with fewer
+    # than _scan_band's k_min = 5 multiples, so it visits 527 of the 771
+    # gcds.  The verdict JSON was recorded from the gcd-closure dict that
+    # the scan replaced.
+    fam = generate(6, 80, 20)[0]
+    box = criterion._lattice_box(fam, 20)
+    assert prod(box) > criterion.GRID_LIMIT
+    assert criterion._scan_band(80, 20, 7) == (19, 5)
+    visits = []
+    closed_cells = criterion._closed_cells
+
+    def counting(*args):
+        for cell in closed_cells(*args):
+            visits.append(cell)
+            yield cell
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criterion, "_closed_cells", counting)
+        verdict = check_efficient(fam)
+    assert len(visits) == 527 < len(gcd_closure(fam)) == 771
+    assert json.dumps(verdict.to_json_dict()) == (
+        '{"status": "stable", "family_slope": [-1600, 79], '
+        '"criterion_value_only": false}'
+    )
 
 
 @given(equal_degree_families())

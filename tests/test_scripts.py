@@ -52,7 +52,7 @@ def test_sweep_script_rejects_bad_flags_before_any_cell(args, message):
 
 
 def test_oracle_fuzz_script_agrees():
-    # The one tool that runs every family through the gcd-closure scan too.
+    # The one tool that runs every family through the closed-cell scan too.
     proc = run_script("run_oracle_fuzz.py", "--samples", "200", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -672,7 +672,8 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
     assert run() == masks
     assert checks == []
     # A box of d^(N+1) = 81 or 32 cells past the limit: every representative
-    # takes check_efficient, itself on the gcd closure, and nothing changes.
+    # takes check_efficient, itself on the closed-cell scan, and nothing
+    # changes.
     N, d, _ = triple
     monkeypatch.setattr(criterion, "GRID_LIMIT", d ** (N + 1) - 1)
     assert run() == masks
