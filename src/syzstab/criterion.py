@@ -51,7 +51,7 @@ from .errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from .monomial import Monomial, MonomialFamily, _valid_monomial
+from .monomial import Monomial, MonomialFamily, _canonical, _valid_monomial
 
 BRUTE_BUDGET = 2**24
 GRID_LIMIT = 500_000
@@ -402,7 +402,7 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     elements.
     """
     gcds = [Monomial(tuple([r[0] for r in cell[0]])) for cell in _closed_cells(family)]
-    return tuple(sorted(gcds, key=Monomial.canon_key))
+    return tuple(_canonical(gcds))
 
 
 def _closure_candidates(family: MonomialFamily, slope: Fraction):
@@ -558,8 +558,21 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
             best.append(mask)
     if not best:
         return _verdict(family, slope)
-    indices = min(
-        tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in best
-    )
+    mask = _first_mask(best)
+    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
     return _verdict(family, slope, Fraction(best_num, best_den), indices)
 
+
+def _first_mask(masks):
+    """The mask whose index tuple (its set bits, ascending) is
+    lexicographically smallest, compared pairwise without building tuples.
+    Two masks agree below their lowest differing bit; the one holding that
+    bit comes first, unless the other has no bit above it and so is a
+    prefix of it."""
+    first = masks[0]
+    for mask in masks:
+        diff = first ^ mask
+        low = diff & -diff
+        holder, other = (first, mask) if first & low else (mask, first)
+        first = holder if other > low else other
+    return first

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -92,7 +92,8 @@ class Monomial(Value):
         return _valid_monomial(tuple(map(min, self.exponents, other.exponents)))
 
     def canon_key(self) -> tuple[int, tuple[int, ...]]:
-        """Sort key: degree ascending, then exponents descending-lex."""
+        """Sort key: degree ascending, then exponents descending-lex.
+        Families sort by ``_canonical``, which gives the same order."""
         return (self.degree, tuple(-e for e in self.exponents))
 
     @classmethod
@@ -116,6 +117,18 @@ class Monomial(Value):
 
 _new_object = object.__new__
 _set_exponents = Monomial.exponents.__set__
+_exponents = attrgetter("exponents")
+_degree = attrgetter("degree")
+
+
+def _canonical(monomials: Iterable[Monomial]) -> list[Monomial]:
+    """Monomials over one variable count in the order of
+    ``Monomial.canon_key``, by two stable sorts on keys read in C:
+    exponent vectors descending, then degree ascending.  Equal monomials
+    end up adjacent."""
+    ordered = sorted(monomials, key=_exponents, reverse=True)
+    ordered.sort(key=_degree)
+    return ordered
 
 
 def _valid_monomial(exponents: tuple[int, ...]) -> Monomial:
@@ -239,7 +252,7 @@ class MonomialFamily(Value):
                     f"member {m} has {m.var_count} variables, family expects "
                     f"{var_count}"
                 )
-        ordered = tuple(sorted(members, key=Monomial.canon_key))
+        ordered = tuple(_canonical(members))
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise DuplicateMemberError(f"duplicate member {a}")
@@ -349,18 +362,26 @@ def exponent_vectors_of_degree(
     var_count: int, degree: int
 ) -> Iterator[tuple[int, ...]]:
     """Exponent vectors of the given total degree, in canonical order
-    (descending lexicographic), without the Monomial wrapper."""
+    (descending lexicographic), without the Monomial wrapper.
+
+    A depth-first walk on an explicit stack, so no variable count meets
+    the recursion limit: it extends prefixes of the first var_count - 2
+    exponents, and each full prefix takes every split of what remains
+    between the last two."""
     if var_count < 2:
         raise ValueError("need at least two variables")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
+    def walk(last: int):
+        stack = [((), degree)]
+        while stack:
+            prefix, rest = stack.pop()
+            if len(prefix) == last:
+                for e in range(rest, -1, -1):
+                    yield prefix + (e, rest - e)
+            else:
+                # Pushed ascending, so the largest next exponent pops first.
+                stack.extend([(prefix + (e,), rest - e) for e in range(rest + 1)])
 
-    return rec((), degree, var_count)
-
+    return walk(var_count - 2)

@@ -603,6 +603,33 @@ def test_pruned_scan_on_the_fallback_family():
     )
 
 
+def _index_tuple(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@given(st.lists(st.integers(1, 2**14 - 1), min_size=1, max_size=30, unique=True))
+@example([0b111, 0b11])  # a prefix comes first
+@example([0b11, 0b101])  # the lowest differing bit decides
+@example([0b1011, 0b11])  # the other mask has a bit above it
+@example([1 << 40, 1 << 40 | 1, 1 << 39])
+@settings(max_examples=500, deadline=None)
+def test_first_mask_is_the_smallest_index_tuple(masks):
+    # check_efficient's witness rule, compared pairwise, against building
+    # every mask's index tuple and taking the smallest.
+    assert criterion._first_mask(masks) == min(masks, key=_index_tuple)
+
+
+def test_two_variable_ties_pick_the_smallest_witness():
+    # All degree-40 monomials in two variables, forced onto the closed-cell
+    # scan: every candidate ties at the slope, and the witness is the
+    # oracle's first tied subset, members 0 and 1 (x0^40 and x0^39 x1).
+    fam = MonomialFamily.of(list(exponent_vectors_of_degree(2, 40)))
+    verdict = check_closure(fam)
+    assert verdict == check_efficient(fam)
+    assert verdict.status is Stability.SEMISTABLE_ONLY
+    assert verdict.equality_witness.indices == (0, 1)
+
+
 @given(equal_degree_families())
 @settings(max_examples=150, deadline=None)
 def test_checkers_agree_equal_degree(fam):

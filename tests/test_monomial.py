@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+from itertools import product
 from math import comb
 from operator import le
 from pathlib import Path
@@ -321,6 +322,81 @@ def test_degree_enumeration_is_complete_and_sorted(v, d):
     assert len(set(vecs)) == len(vecs)
     assert all(sum(vec) == d for vec in vecs)
     assert vecs == sorted(vecs, reverse=True)
+
+
+def test_enumerator_matches_sorted_product_reference():
+    # The order bench pools, random_family and acceptance test 1 draw from:
+    # every vector of the degree, descending lexicographically.
+    for v in range(2, 7):
+        for d in range(9):
+            reference = sorted(
+                (
+                    (*head, d - sum(head))
+                    for head in product(range(d + 1), repeat=v - 1)
+                    if sum(head) <= d
+                ),
+                reverse=True,
+            )
+            assert list(exponent_vectors_of_degree(v, d)) == reference, (v, d)
+
+
+@pytest.mark.parametrize(
+    "var_count, degree, message",
+    [
+        (1, 2, "need at least two variables"),
+        (0, 0, "need at least two variables"),
+        (-3, 2, "need at least two variables"),
+        (2, -1, "degree must be nonnegative"),
+        (5, -7, "degree must be nonnegative"),
+    ],
+)
+def test_enumerator_errors(var_count, degree, message):
+    # Raised at the call, before the first vector is asked for.
+    with pytest.raises(ValueError) as err:
+        exponent_vectors_of_degree(var_count, degree)
+    assert str(err.value) == message
+
+
+def test_enumerator_needs_no_recursion():
+    # Sixty variables under a recursion limit of 40, and the 1,200
+    # variables a recursive walk could not reach at the default limit.
+    code = """
+import sys
+from math import comb
+from syzstab.monomial import exponent_vectors_of_degree
+sys.setrecursionlimit(40)
+for v, d in [(60, 2), (1200, 1)]:
+    vecs = list(exponent_vectors_of_degree(v, d))
+    assert len(vecs) == comb(v - 1 + d, d)
+    assert all(len(vec) == v and sum(vec) == d for vec in vecs)
+    assert all(a > b for a, b in zip(vecs, vecs[1:]))
+    print(len(vecs))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(syzstab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1830", "1200"]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_family_order_matches_canon_key_reference(data):
+    # Mixed degrees over a small exponent range, so duplicates are common.
+    v = data.draw(st.integers(2, 5))
+    vector = st.tuples(*[st.integers(0, 3)] * v)
+    members = [Monomial(e) for e in data.draw(st.lists(vector, min_size=1, max_size=30))]
+    reference = sorted(members, key=Monomial.canon_key)
+    repeats = [a for a, b in zip(reference, reference[1:]) if a == b]
+    if repeats:
+        with pytest.raises(DuplicateMemberError) as err:
+            MonomialFamily(v, tuple(members))
+        assert str(err.value) == f"duplicate member {repeats[0]}"
+    else:
+        family = MonomialFamily(v, tuple(members))
+        assert family.members == tuple(sorted(set(members), key=Monomial.canon_key))
 
 
 def m_primary_reference(fam):

@@ -107,3 +107,16 @@ def test_search_digest_is_unchanged():
         "runs: 533",
         "sha256: 2d74cfd4a321acdbc766fe47b730c18e9c03d674e91237b5182493674eecbea4",
     ]
+
+
+def test_plane_digest_is_unchanged():
+    # Every plane (n, d) with d <= 12 through generate_P2 and
+    # check_efficient: the digest of their family texts and verdict JSON as
+    # they were when families sorted by Monomial.canon_key and vectors came
+    # from a recursive enumerator.
+    proc = run_script("plane_digest.py", "--max-degree", "12")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "planes: 430",
+        "sha256: cf1c22fb7e0164a739adfeb99a51aeb8a4b460bcefba7414509fd8c01edc7bb9",
+    ]
