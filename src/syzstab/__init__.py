@@ -52,48 +52,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CapacityError",
-    "CommonFactorError",
-    "DuplicateMemberError",
-    "Error",
-    "ExcludedCaseError",
-    "FamilyFormatError",
-    "FamilyRecipe",
-    "InvalidFamilyError",
-    "InvalidVerdictError",
-    "MismatchedVariablesError",
-    "ModuliReport",
-    "Monomial",
-    "MonomialFamily",
-    "SearchReport",
-    "Stability",
-    "StabilityVerdict",
-    "SubsetWitness",
-    "UnsupportedRangeError",
-    "a_seq",
-    "check_brute_force",
-    "check_efficient",
-    "chern_and_slope",
-    "cohomology_table",
-    "equal_degree_margin",
-    "exhaustive_search",
-    "exponent_vectors_of_degree",
-    "family_slope",
-    "gcd_closure",
-    "generate",
-    "generate_P2",
-    "generate_P31",
-    "generate_P32",
-    "generate_P33",
-    "generate_P34",
-    "generate_full_set",
-    "generate_pure_powers",
-    "moduli_dimension",
-    "subset_quotient",
-    "verify_verdict",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
 
 __version__ = "0.1.0"
 

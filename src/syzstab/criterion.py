@@ -16,19 +16,25 @@ candidate, and every candidate's extreme value is realized by an actual
 subset.  Its candidates come from one of two scans, both on Python ints
 used as bitsets, and each candidate is the mask of its subset's members
 (bit i for member i); the witness gcd is taken from the witness members.
-For an equal-degree-d family, a lattice scan walks the cells of an
-exponent box (exponents clipped to d-1) depth-first, keeps the members
-divisible by the current cell as the bits of one int, and prunes every
-branch that can hold no candidate.  That walk, ``_lattice_walk``, is
-shared: ``exhaustive_search`` runs it on its own masks to decide each
-orbit representative.  The scan is taken when the box has at most
-``GRID_LIMIT`` cells; every other family takes the closed-cell scan.  It
-walks the gcds of subsets of members (the closed cells) depth-first, each
-once, raising one variable at a time through that variable's distinct
-exponents and ANDing in a threshold mask, and keeps no table of the gcds
-it has seen.  An equal-degree family there drops every cell with too few
-multiples to hold a candidate.  The oracle visits at most
-``BRUTE_BUDGET`` subsets and the closed-cell scan at most
+Both read one threshold table, built by ``_thresholds``: for each
+variable, the distinct exponents its column holds, ascending, each with
+the mask of the members whose exponent is at least that value.  For an
+equal-degree-d family, a lattice scan walks depth-first over the cells
+whose every exponent is one its column holds, keeps the members divisible
+by the current cell as the bits of one int, and prunes every branch that
+can hold no candidate.  A cell between two held exponents has the
+multiples of the next held one at a lower degree, so it never wins.
+The walk, ``_lattice_walk``, and the table are shared:
+``exhaustive_search`` builds one table of its monomials and walks it to
+decide each orbit representative.  The scan is taken when the exponent
+box, min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
+``GRID_LIMIT`` cells, counted whole although the walk visits only the
+held exponents; every other family takes the closed-cell scan.  It walks the gcds of subsets of members (the closed
+cells) depth-first, each once, raising one variable at a time through
+that variable's distinct exponents and ANDing in a threshold mask, and
+keeps no table of the gcds it has seen.  An equal-degree family there
+drops every cell with too few multiples to hold a candidate.  The oracle
+visits at most ``BRUTE_BUDGET`` subsets and the closed-cell scan at most
 ``CLOSURE_LIMIT`` cells, the gcd closure's size when unpruned; both raise
 ``CapacityError`` beyond.  All three limits are read at call time.
 
@@ -344,37 +350,57 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     return _verdict(family, slope, Fraction(best_num, best_den), best_idx)
 
 
-def _closed_cells(family: MonomialFamily, k_min: int = 1):
-    """Every closed cell with at least ``k_min`` multiples, once each, as
+def _thresholds(vectors) -> list[list[tuple[int, int]]]:
+    """The threshold table of the exponent vectors ``vectors``: for each
+    variable, the distinct exponents of its column in ascending order, each
+    paired with the mask of the vectors whose exponent is at least that
+    value (bit i for vector i).  The first pair's mask holds every vector.
+    Exponents are dict keys, so the cost does not grow with their size."""
+    bits = [1 << i for i in range(len(vectors))]
+    table = []
+    for column in zip(*vectors):
+        buckets: dict[int, int] = {}
+        for e, bit in zip(column, bits):
+            buckets[e] = buckets.get(e, 0) | bit
+        pairs, at_least = [], 0
+        for e in sorted(buckets, reverse=True):
+            at_least |= buckets[e]
+            pairs.append((e, at_least))
+        pairs.reverse()
+        table.append(pairs)
+    return table
+
+
+def _closed_cells(table, n: int, k_min: int = 1):
+    """Every closed cell of the n members of threshold table ``table``
+    (see ``_thresholds``) with at least ``k_min`` multiples, once each, as
     (rungs, degree, mask of its multiples, number of multiples).
 
     A rung is a tuple ``(value, above, next)``: one of a column's distinct
-    exponents, the mask of the members whose exponent exceeds it (bit i
-    for member i), and the rung of the next larger value; the last rung
-    has value infinity and nothing above.  A cell holds one rung per
-    variable, so its exponents are the rungs' values and its multiples are
-    the members that no ``above`` excludes.  It is closed when it is the
-    gcd of its multiples, that is no ``above`` holds the whole mask, so
-    the closed cells are exactly the gcds of nonempty subsets.  The walk is
-    depth-first by prefix-preserving closure extension (Uno, Kiyomi and
-    Arimura, "LCM ver. 2", FIMI 2004): from a closed cell reached by
-    raising variable ``core``, raise a variable j >= core to its next rung,
-    close the cell by raising every variable while the mask fits inside
-    its ``above``, and keep the child only if no variable before j would
-    rise.  Each closed cell then has exactly one parent.  Masks only
-    shrink along the walk, so a child with fewer than ``k_min`` multiples
-    is dropped with everything below it.  Raises ``CapacityError`` on
-    visiting more than ``CLOSURE_LIMIT`` cells.
+    exponents, the mask of the members whose exponent exceeds it, which is
+    the table's mask at the next value, and the rung of the next larger
+    value; the last rung has value infinity and nothing above.  A cell
+    holds one rung per variable, so its exponents are the rungs' values
+    and its multiples are the members that no ``above`` excludes.  It is
+    closed when it is the gcd of its multiples, that is no ``above`` holds
+    the whole mask, so the closed cells are exactly the gcds of nonempty
+    subsets.  The walk is depth-first by prefix-preserving closure
+    extension (Uno, Kiyomi and Arimura, "LCM ver. 2", FIMI 2004): from a
+    closed cell reached by raising variable ``core``, raise a variable
+    j >= core to its next rung, close the cell by raising every variable
+    while the mask fits inside its ``above``, and keep the child only if
+    no variable before j would rise.  Each closed cell then has exactly
+    one parent.  Masks only shrink along the walk, so a child with fewer
+    than ``k_min`` multiples is dropped with everything below it.  Raises
+    ``CapacityError`` on visiting more than ``CLOSURE_LIMIT`` cells.
     """
-    bits, root = [1 << i for i in range(family.n)], []
-    for column in zip(*(m.exponents for m in family.members)):
+    root = []
+    for pairs in table:
         rung, above = (inf, 0, None), 0
-        for e, bit in sorted(zip(column, bits), reverse=True):
-            if e < rung[0]:
-                rung = (e, above, rung)
-            above |= bit
+        for value, at_least in reversed(pairs):
+            rung, above = (value, above, rung), at_least
         root.append(rung)
-    stack, visited = [(root, (1 << family.n) - 1, family.n, 0)], 0
+    stack, visited = [(root, (1 << n) - 1, n, 0)], 0
     while stack:
         rungs, mask, k, core = stack.pop()
         visited += 1
@@ -401,12 +427,15 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     factor, the unit.  Raises ``CapacityError`` beyond ``CLOSURE_LIMIT``
     elements.
     """
-    gcds = [Monomial(tuple([r[0] for r in cell[0]])) for cell in _closed_cells(family)]
+    table = _thresholds([m.exponents for m in family.members])
+    cells = _closed_cells(table, family.n)
+    gcds = [Monomial(tuple([r[0] for r in cell[0]])) for cell in cells]
     return tuple(_canonical(gcds))
 
 
-def _closure_candidates(family: MonomialFamily, slope: Fraction):
-    """Candidates from the closed cells, as (numerator, denominator, mask).
+def _closure_candidates(family: MonomialFamily, slope: Fraction, table):
+    """Candidates from the closed cells of the family's threshold table
+    ``table``, as (numerator, denominator, mask).
 
     An equal-degree-d family gives each cell's full multiple set, the
     largest quotient for that gcd, only margins at or below zero, and
@@ -421,12 +450,12 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction):
     if family.is_equal_degree:
         d = degs[0]
         k_min = _scan_band(n, d, family.var_count)[1]
-        for _, t, mask, k in _closed_cells(family, k_min):
+        for _, t, mask, k in _closed_cells(table, n, k_min):
             if t and (d - t) * n + t <= d * k:
                 yield t - d * k, k - 1, mask
         return
     slope_num, slope_den = slope.numerator, slope.denominator
-    for _, num, mask, _ in _closed_cells(family, 2):
+    for _, num, mask, _ in _closed_cells(table, n, 2):
         k, rest = 0, mask
         while rest and k < n - 1:
             low = rest & -rest
@@ -435,13 +464,6 @@ def _closure_candidates(family: MonomialFamily, slope: Fraction):
             if k and num * slope_den >= slope_num * k:
                 yield num, k, mask ^ rest
             k += 1
-
-
-def _lattice_box(family: MonomialFamily, d: int) -> tuple[int, ...]:
-    """Shape of the exponent box holding every divisor of degree below d
-    that divides a member: axis i runs up to min(max exponent of x_i, d-1)."""
-    exps = zip(*(m.exponents for m in family.members))
-    return tuple(min(top, d - 1) + 1 for top in map(max, exps))
 
 
 def _scan_band(n: int, d: int, v: int) -> tuple[int, int]:
@@ -464,63 +486,52 @@ def _scan_band(n: int, d: int, v: int) -> tuple[int, int]:
     return 0, n + 1
 
 
-def _lattice_walk(masks, depth, mask, t, n, d, top, k_min, out) -> None:
-    """Walk the cells of a lattice box depth-first, from axis ``depth`` down
-    to axis 0, appending to ``out`` every cell of degree 1..``top`` whose
-    multiples are a candidate of an n-member equal-degree-d family, as
-    (numerator, denominator, mask of the multiples) of its quotient; only
-    margins at or below zero.
+def _lattice_walk(table, depth, mask, t, n, d, top, k_min, out) -> None:
+    """Walk the value grid of a threshold table depth-first, from column
+    ``depth`` down to column 0, appending to ``out`` every cell of degree
+    1..``top`` whose multiples are a candidate of an n-member
+    equal-degree-d family, as (numerator, denominator, mask of the
+    multiples) of its quotient; only margins at or below zero.
 
-    ``masks[j][a]`` is the mask of the members whose exponent of the j-th
-    walked variable is at least a, from a = 0 up to the axis's last cell;
-    ``mask`` holds the multiples of the cell reached so far, of degree t,
-    and each step ANDs in one mask, so a cell's multiples are the bits of
-    its mask.  Raising an exponent raises the degree and drops multiples,
-    so a loop stops at the first cell outside ``_scan_band``'s bounds
-    (``top``, ``k_min``).  Bit positions are the caller's: ``check_efficient``
-    numbers members in canonical order, the search by free index."""
-    for above in masks[depth]:
+    ``table[j]`` holds the ``(value, mask)`` pairs of the j-th walked
+    variable (see ``_thresholds``), so a cell's exponents are values that
+    its columns hold.  ``mask`` holds the multiples of the cell reached so
+    far, of degree t, and each step ANDs in one mask and adds its value,
+    so a cell's multiples are the bits of its mask.  Raising an exponent
+    raises the degree and drops multiples, so a loop stops at the first
+    cell outside ``_scan_band``'s bounds (``top``, ``k_min``); a value of
+    d or more is past ``top``.  Bit positions are the caller's:
+    ``check_efficient`` numbers members in canonical order, the search by
+    free index."""
+    for value, above in table[depth]:
         below = mask & above
         k = below.bit_count()
-        if t > top or k < k_min:
+        s = t + value
+        if s > top or k < k_min:
             break
         if depth:
-            _lattice_walk(masks, depth - 1, below, t, n, d, top, k_min, out)
-        elif t and (d - t) * n + t <= d * k:
-            out.append((t - d * k, k - 1, below))
-        t += 1
+            _lattice_walk(table, depth - 1, below, s, n, d, top, k_min, out)
+        elif s and (d - s) * n + s <= d * k:
+            out.append((s - d * k, k - 1, below))
 
 
-def _grid_candidates(family: MonomialFamily, d: int, box: tuple[int, ...]):
-    """For every divisor g of degree 1..d-1 of an equal-degree-d family, its
-    full multiple set of size k >= 2, where the quotient is largest, as
+def _grid_candidates(table, n: int, d: int):
+    """For every cell g of degree 1..d-1 on the value grid of the threshold
+    table ``table`` of an n-member equal-degree-d family, its full
+    multiple set of size k >= 2, where the quotient is largest, as
     (numerator, denominator, mask of the multiples); only margins at or
     below zero.
 
-    Members are bits of an int.  One bucket pass per column, then a suffix
-    OR, gives the mask of members whose exponent of x_j is at least a, for
-    a below ``box[j]``, and ``_lattice_walk`` visits the cells of ``box``
-    over those masks.  Axes of one cell hold only exponent 0 and are not
-    walked, so the depth stays below the number of axes a box of
+    ``_lattice_walk`` visits the cells.  Variables that no member uses are
+    not walked, so the depth stays below the number of axes that a box of
     ``GRID_LIMIT`` cells can have."""
-    n = family.n
-    top, k_min = _scan_band(n, d, len(box))
-    if n < 2 or not top:
+    top, k_min = _scan_band(n, d, len(table))
+    if not top:
         return []
-    bits = [1 << i for i in range(n)]
-    columns = zip(*(m.exponents for m in family.members))
-    ge = []
-    for column, size in zip(columns, box):
-        if size > 1:
-            masks, clip = [0] * size, size - 1
-            for bit, e in zip(bits, column):
-                masks[e if e < clip else clip] |= bit
-            for a in range(clip - 1, -1, -1):
-                masks[a] |= masks[a + 1]
-            ge.append(masks)
-    ge.reverse()  # the walk runs from its last list down, so x_0 leads
+    # The walk runs from its last column down, so x_0 leads.
+    walked = [pairs for pairs in reversed(table) if pairs[-1][0]]
     out = []
-    _lattice_walk(ge, len(ge) - 1, (1 << n) - 1, 0, n, d, top, k_min, out)
+    _lattice_walk(walked, len(walked) - 1, (1 << n) - 1, 0, n, d, top, k_min, out)
     return out
 
 
@@ -534,21 +545,23 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     over subsets, and the lexicographically smallest maximizing prefix is
     the oracle's witness.  A maximizing prefix's gcd is g itself, or a
     larger gcd would give a larger quotient, so a candidate is only the
-    mask of its members.  Equal-degree-d families whose exponent box, of
-    min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
-    ``GRID_LIMIT`` cells take their candidates from the lattice scan of
-    that box, where only full multiple sets matter because the quotient
-    grows with k; all others from the closed-cell scan, which visits each
-    gcd of a subset once and raises ``CapacityError`` past
-    ``CLOSURE_LIMIT`` visits.  Verdicts equal ``check_brute_force``'s.
+    mask of its members.  Both scans read one threshold table, built here.
+    Equal-degree-d families whose exponent box, of min(max exponent of
+    x_i, d-1) + 1 cells along axis i, has at most ``GRID_LIMIT`` cells
+    take their candidates from the lattice scan of that box's value grid,
+    where only full multiple sets matter because the quotient grows with
+    k; all others from the closed-cell scan, which visits each gcd of a
+    subset once and raises ``CapacityError`` past ``CLOSURE_LIMIT``
+    visits.  Verdicts equal ``check_brute_force``'s.
     """
     slope = _validate_for_check(family)
-    d = family.degrees[0]
-    box = family.is_equal_degree and _lattice_box(family, d)
-    if box and prod(box) <= GRID_LIMIT:
-        candidates = _grid_candidates(family, d, box)
+    n, d = family.n, family.degrees[0]
+    table = _thresholds([m.exponents for m in family.members])
+    box = (min(pairs[-1][0], d - 1) + 1 for pairs in table)
+    if family.is_equal_degree and prod(box) <= GRID_LIMIT:
+        candidates = _grid_candidates(table, n, d)
     else:
-        candidates = _closure_candidates(family, slope)
+        candidates = _closure_candidates(family, slope, table)
     best_num, best_den, best = 0, 1, []
     for num, den, mask in candidates:
         cross = num * best_den - best_num * den

@@ -88,19 +88,24 @@ A representative's status comes from bit masks, with no family object.
 Every family of a search holds the pure powers, so its lattice box (see
 ``criterion``) is d^(N+1) cells, d on every axis.  Where that fits
 ``criterion.GRID_LIMIT``, read as the search starts, the space holds
-``ge[j][a]``: bit c set when free monomial c has an exponent of x_j of at
-least a, bit F+j for X_j^d, for 0 <= a <= d-1.  A family with chosen bits
-S (its free bits and the N+1 pure bits) walks ``criterion._lattice_walk``
-from S over those masks, which is the walk over ``ge[j][a] & S`` that
-``check_efficient`` would take on its own columns, with ``_scan_band``
-computed once per search.  Any candidate with a negative margin
-(d-t)*n + t - d*k makes the family unstable, else any candidate at all
-semistable-only, else it is stable.  Within the limit only the reported
-best family, and a resume token's, is built as a ``MonomialFamily``.  Past
-it, where ``check_efficient`` would take the gcd closure, each
-representative still goes through ``check_efficient``, on a family built
-from one ``Monomial`` per pure power and per checked free index, each made
-once per search.
+``ge``, the threshold table (``criterion._thresholds``) of every free
+monomial and pure power, built once per search: bit c for free monomial
+c, bit F+j for X_j^d, and for each x_j the values 0..d, each with the
+mask of the monomials whose exponent of x_j is at least it.  A family
+with chosen bits S (its free bits and the N+1 pure bits) walks
+``criterion._lattice_walk`` from S over that table, with ``_scan_band``
+computed once per search.  That walk holds the cells ``check_efficient``
+walks on the family's own table, and cells at exponents that no chosen
+monomial has; such a cell has the multiples of the cell at the family's
+next exponent, whose degree is higher and margin lower, or none, so it
+decides no status that the family's own cells do not.  Any candidate with a
+negative margin (d-t)*n + t - d*k makes the family unstable, else any
+candidate at all semistable-only, else it is stable.  Within the limit
+only the reported best family, and a resume token's, is built as a
+``MonomialFamily``.  Past it, where ``check_efficient`` would take the
+gcd closure, each representative still goes through ``check_efficient``,
+on a family built from one ``Monomial`` per pure power and per checked
+free index, each made once per search.
 
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
@@ -119,7 +124,13 @@ from typing import Callable, Iterator, Optional
 
 from . import criterion
 from ._value import Value
-from .criterion import Stability, _lattice_walk, _scan_band, check_efficient
+from .criterion import (
+    Stability,
+    _lattice_walk,
+    _scan_band,
+    _thresholds,
+    check_efficient,
+)
 from .errors import Error, UnsupportedRangeError
 from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
 
@@ -246,7 +257,7 @@ class _Space:
         self.tree_key: Optional[tuple[int, int]] = None
         self.held: Optional[list] = None
         self.n, self.d = n, d
-        self.ge: Optional[list[list[int]]] = None
+        self.ge: Optional[list[list[tuple[int, int]]]] = None
         # Without status masks, check_efficient's families are built from a
         # Monomial per pure power and per checked free index, made once.
         self.pure = tuple(map(Monomial, self.pure_exps)) if n is None else ()
@@ -254,19 +265,8 @@ class _Space:
         if n is not None:
             self.band = _scan_band(n, d, N + 1)
             self.pure_bits = ((1 << (N + 1)) - 1) << free_count
-            # ge[j][a]: free index c, or F + i for X_i^d, has an exponent of
-            # x_j of at least a.  Only X_j^d reaches d, and dropping that
-            # bucket after the suffix OR clips it at d - 1, as the lattice
-            # box clips.
-            bits = [1 << c for c in range(free_count + N + 1)]
-            self.ge = []
-            for column in zip(*self.free, *self.pure_exps):
-                masks = [0] * (d + 1)
-                for bit, e in zip(bits, column):
-                    masks[e] |= bit
-                for a in range(d - 1, -1, -1):
-                    masks[a] |= masks[a + 1]
-                self.ge.append(masks[:d])
+            # Bit c for free index c, bit F + i for X_i^d.
+            self.ge = _thresholds(self.free + self.pure_exps)
 
     def grow(self) -> None:
         """Append the next block: ``(diffs, guards, bias)``, where

@@ -30,13 +30,17 @@ from syzstab.errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from syzstab.families import generate
+from syzstab.families import generate, generate_P2
 from syzstab.monomial import (
     MAX_DEGREE,
     Monomial,
     MonomialFamily,
     exponent_vectors_of_degree,
 )
+
+
+def _table(family: MonomialFamily):
+    return criterion._thresholds([m.exponents for m in family.members])
 
 
 def check_closure(family: MonomialFamily):
@@ -366,17 +370,51 @@ def test_grid_and_closure_paths_agree(monkeypatch):
     assert verdicts[0].status is Stability.UNSTABLE
 
 
-def test_lattice_scan_skips_unused_variables():
-    # 2,998 variables that no member uses are axes of one cell: the walk
+_exponent = st.one_of(
+    st.integers(0, 4), st.integers(3, 6), st.integers(MAX_DEGREE - 3, MAX_DEGREE)
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda v: st.lists(st.tuples(*[_exponent] * v), min_size=1, max_size=12)
+    )
+)
+@example([(5,), (5,), (7,)])  # a repeated value, the smallest above 0
+@example([(MAX_DEGREE, 0), (0, MAX_DEGREE), (MAX_DEGREE - 1, 1)])
+@settings(max_examples=300, deadline=None)
+def test_thresholds_match_sorted_set_reference(vectors):
+    # Each distinct value once, ascending, with the mask of exactly the
+    # vectors at or above it.
+    table = criterion._thresholds(vectors)
+    columns = list(zip(*vectors))
+    assert len(table) == len(columns)
+    for column, pairs in zip(columns, table):
+        assert [value for value, _ in pairs] == sorted(set(column))
+        for value, mask in pairs:
+            assert mask == sum(1 << i for i, e in enumerate(column) if e >= value)
+
+
+def test_lattice_scan_skips_unused_variables(monkeypatch):
+    # 2,998 variables that no member uses hold one value each: the walk
     # does not descend them, so its depth is not the variable count.
     pad = (0,) * 2998
     fam = MonomialFamily.of([(2, 0) + pad, (0, 2) + pad, (1, 1) + pad])
-    box = criterion._lattice_box(fam, 2)
-    assert box == (2, 2) + (1,) * 2998
+    table = _table(fam)
+    assert table[2:] == [[(0, 0b111)]] * 2998
+    depths = []
+    walk = criterion._lattice_walk
+
+    def recording(table, depth, *args):
+        depths.append(depth)
+        walk(table, depth, *args)
+
+    monkeypatch.setattr(criterion, "_lattice_walk", recording)
     # Members in canonical order: x0^2, x0 x1, x1^2; x0 divides the first
     # two (mask 0b011), x1 the last two (mask 0b110).
-    candidates = sorted(criterion._grid_candidates(fam, 2, box))
+    candidates = sorted(criterion._grid_candidates(table, fam.n, 2))
     assert candidates == [(-3, 1, 0b011), (-3, 1, 0b110)]
+    assert max(depths) == 1
     assert check_efficient(fam) == check_brute_force(fam)
 
 
@@ -386,7 +424,7 @@ def test_lattice_walk_leaves_no_garbage():
     fam = MonomialFamily.of(
         [(6, 0, 0), (0, 6, 0), (0, 0, 6), (3, 2, 1), (2, 2, 2), (1, 4, 1), (0, 3, 3)]
     )
-    assert criterion._grid_candidates(fam, 6, criterion._lattice_box(fam, 6))
+    assert criterion._grid_candidates(_table(fam), fam.n, 6)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -400,12 +438,16 @@ def test_lattice_walk_leaves_no_garbage():
 
 def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
     """Reference for the lattice scan: find the multiples of every divisor
-    of degree 1..d-1 by comparing it with every member."""
+    of degree 1..d-1 on the value grid, each of whose exponents some member
+    has, by comparing it with every member."""
     n, v = family.n, family.var_count
     members = [m.exponents for m in family.members]
+    held = [set(column) for column in zip(*members)]
     out = []
     for t in range(1, d):
         for g in exponent_vectors_of_degree(v, t):
+            if not all(a in values for a, values in zip(g, held)):
+                continue
             mask = sum(1 << i for i, e in enumerate(members) if all(map(le, g, e)))
             k = mask.bit_count()
             if k >= 2 and (d - t) * n + t - d * k <= 0:
@@ -415,13 +457,17 @@ def _broadcast_candidates(family: MonomialFamily, d: int) -> list[tuple]:
 
 @st.composite
 def lattice_families(draw):
-    # Pure powers have exponent d, one past the box, so the clip is used.
+    # Pure powers have exponent d, past every candidate's degree.  A common
+    # factor x0^c, allowed since the scan is called directly, puts column
+    # 0's smallest value above 0.
     var_count = draw(st.integers(min_value=2, max_value=5))
     d = draw(st.integers(min_value=1, max_value=8))
     powers = draw(st.sets(st.integers(0, var_count - 1), min_size=1))
     pool = list(exponent_vectors_of_degree(var_count, d))
     extras = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
-    return MonomialFamily.of({_pure(var_count, i, d) for i in powers} | set(extras))
+    c = draw(st.integers(min_value=0, max_value=2))
+    members = {_pure(var_count, i, d) for i in powers} | set(extras)
+    return MonomialFamily.of([(e[0] + c, *e[1:]) for e in members])
 
 
 @given(lattice_families())
@@ -435,10 +481,21 @@ def lattice_families(draw):
     )
 )
 @example(MonomialFamily.of([(0, 4, 0)]))
+@example(generate_P2(33, 40)[0])  # sparse: 33 members, exponents up to 40
+@example(  # sparse and unstable: off-grid cells are candidates too
+    MonomialFamily.of(
+        [(12, 0, 0), (0, 12, 0), (0, 0, 12), (9, 3, 0), (9, 0, 3), (6, 6, 0), (3, 9, 0)]
+    )
+)
+@example(MonomialFamily.of([(3, 1, 0), (2, 2, 0), (1, 2, 1), (1, 0, 3)]))
+@example(MonomialFamily.of([(3, 0, 1), (1, 2, 1), (0, 3, 1), (2, 1, 1)]))
 @settings(max_examples=300, deadline=None)
 def test_lattice_scan_matches_broadcast_reference(fam):
+    # Exactly the reference's candidates on the value grid.  The last two
+    # families have the common factors x0 and x2, the second in a column
+    # that holds one value.
     d = fam.degrees[0]
-    lattice = criterion._grid_candidates(fam, d, criterion._lattice_box(fam, d))
+    lattice = criterion._grid_candidates(_table(fam), fam.n, d)
     assert sorted(lattice) == sorted(_broadcast_candidates(fam, d))
 
 
@@ -555,7 +612,7 @@ def test_closed_cell_scan_matches_tuple_reference(fam):
     # of its multiples and its degree.
     visited = [
         (tuple(rung[0] for rung in rungs), t, mask, k)
-        for rungs, t, mask, k in criterion._closed_cells(fam)
+        for rungs, t, mask, k in criterion._closed_cells(_table(fam), fam.n)
     ]
     cells = [cell for cell, _, _, _ in visited]
     assert len(cells) == len(set(cells))
@@ -582,7 +639,8 @@ def test_pruned_scan_on_the_fallback_family():
     # gcds.  The verdict JSON was recorded from the gcd-closure dict that
     # the scan replaced.
     fam = generate(6, 80, 20)[0]
-    box = criterion._lattice_box(fam, 20)
+    columns = zip(*(m.exponents for m in fam.members))
+    box = [min(max(column), 19) + 1 for column in columns]
     assert prod(box) > criterion.GRID_LIMIT
     assert criterion._scan_band(80, 20, 7) == (19, 5)
     visits = []
