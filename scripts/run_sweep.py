@@ -15,6 +15,7 @@ from contextlib import nullcontext
 from math import comb
 
 from syzstab.criterion import Stability, check_efficient
+from syzstab.errors import Error
 from syzstab.families import generate
 
 
@@ -65,12 +66,19 @@ def main() -> int:
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     total = 0
     failures = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        scan = pool.map if pool else map
-        for N, d, count, problems in scan(sweep_cell, cells):
-            total += count
-            failures.extend(problems)
-            print(f"N={N} d={d}: {count} families checked, {len(problems)} problems")
+    try:
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            scan = pool.map if pool else map
+            for N, d, count, problems in scan(sweep_cell, cells):
+                total += count
+                failures.extend(problems)
+                print(
+                    f"N={N} d={d}: {count} families checked, "
+                    f"{len(problems)} problems"
+                )
+    except Error as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     print(f"total: {total} families")
     for line in failures:
         print(f"PROBLEM {line}", file=sys.stderr)

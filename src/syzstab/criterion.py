@@ -18,23 +18,27 @@ used as bitsets, and each candidate is the mask of its subset's members
 (bit i for member i); the witness gcd is taken from the witness members.
 Both read one threshold table, built by ``_thresholds``: for each
 variable, the distinct exponents its column holds, ascending, each with
-the mask of the members whose exponent is at least that value.  For an
-equal-degree-d family, a lattice scan walks depth-first over the cells
-whose every exponent is one its column holds, keeps the members divisible
-by the current cell as the bits of one int, and prunes every branch that
+the mask of the members whose exponent is at least that value.
+
+Every equal-degree family takes its candidates from ``_equal_candidates``,
+the one place that chooses between the two scans.  When the exponent box,
+min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
+``GRID_LIMIT`` cells, counted whole although the walk visits only the
+held exponents, a lattice scan walks depth-first over the cells whose
+every exponent is one its column holds, keeps the members divisible by
+the current cell as the bits of one int, and prunes every branch that
 can hold no candidate.  A cell between two held exponents has the
 multiples of the next held one at a lower degree, so it never wins.
-The walk, ``_lattice_walk``, and the table are shared:
-``exhaustive_search`` builds one table of its monomials and walks it to
-decide each orbit representative.  The scan is taken when the exponent
-box, min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
-``GRID_LIMIT`` cells, counted whole although the walk visits only the
-held exponents; every other family takes the closed-cell scan.  It walks the gcds of subsets of members (the closed
-cells) depth-first, each once, raising one variable at a time through
-that variable's distinct exponents and ANDing in a threshold mask, and
-keeps no table of the gcds it has seen.  An equal-degree family there
-drops every cell with too few multiples to hold a candidate.  The oracle
-visits at most ``BRUTE_BUDGET`` subsets and the closed-cell scan at most
+Every other family takes the closed-cell scan.  It walks the gcds of
+subsets of members (the closed cells) depth-first, each once, raising
+one variable at a time through that variable's distinct exponents and
+ANDing in a threshold mask, and keeps no table of the gcds it has seen.
+An equal-degree family there drops every cell with too few multiples to
+hold a candidate.  ``exhaustive_search`` shares both: within the limit it
+walks one table of all its monomials with ``_lattice_walk`` to decide
+each orbit representative, and past it hands each representative's own
+table to ``_equal_candidates``.  The oracle visits at most
+``BRUTE_BUDGET`` subsets and the closed-cell scan at most
 ``CLOSURE_LIMIT`` cells, the gcd closure's size when unpruned; both raise
 ``CapacityError`` beyond.  All three limits are read at call time.
 
@@ -433,27 +437,14 @@ def gcd_closure(family: MonomialFamily) -> tuple[Monomial, ...]:
     return tuple(_canonical(gcds))
 
 
-def _closure_candidates(family: MonomialFamily, slope: Fraction, table):
-    """Candidates from the closed cells of the family's threshold table
-    ``table``, as (numerator, denominator, mask).
-
-    An equal-degree-d family gives each cell's full multiple set, the
-    largest quotient for that gcd, only margins at or below zero, and
-    drops every cell with fewer multiples than ``_scan_band``'s ``k_min``.
-    A cell of degree t above that band's ``top`` has at most
-    C(d-t+v-1, v-1) < ``k_min`` multiples, so the degree bound holds too.
-    Any other family gives, for every cell g and size k, the k-prefix of
-    g's multiples in canonical order, with the quotient bound
-    (deg g - degree sum) / (k - 1), where the prefix is the mask of the k
-    lowest bits of g's multiples; only bounds at or above the slope."""
+def _mixed_candidates(family: MonomialFamily, slope: Fraction, table):
+    """Candidates of a family of mixed degrees from the closed cells of its
+    threshold table ``table``: for every cell g and size k, the k-prefix
+    of g's multiples in canonical order, as (numerator, denominator, mask)
+    of the quotient bound (deg g - degree sum) / (k - 1), where the prefix
+    is the mask of the k lowest bits of g's multiples; only bounds at or
+    above the slope."""
     n, degs = family.n, family.degrees
-    if family.is_equal_degree:
-        d = degs[0]
-        k_min = _scan_band(n, d, family.var_count)[1]
-        for _, t, mask, k in _closed_cells(table, n, k_min):
-            if t and (d - t) * n + t <= d * k:
-                yield t - d * k, k - 1, mask
-        return
     slope_num, slope_den = slope.numerator, slope.denominator
     for _, num, mask, _ in _closed_cells(table, n, 2):
         k, rest = 0, mask
@@ -500,9 +491,9 @@ def _lattice_walk(table, depth, mask, t, n, d, top, k_min, out) -> None:
     so a cell's multiples are the bits of its mask.  Raising an exponent
     raises the degree and drops multiples, so a loop stops at the first
     cell outside ``_scan_band``'s bounds (``top``, ``k_min``); a value of
-    d or more is past ``top``.  Bit positions are the caller's:
-    ``check_efficient`` numbers members in canonical order, the search by
-    free index."""
+    d or more is past ``top``.  Bit positions are the table's:
+    ``check_efficient`` numbers members in canonical order, the search's
+    shared table by free index."""
     for value, above in table[depth]:
         below = mask & above
         k = below.bit_count()
@@ -515,24 +506,33 @@ def _lattice_walk(table, depth, mask, t, n, d, top, k_min, out) -> None:
             out.append((s - d * k, k - 1, below))
 
 
-def _grid_candidates(table, n: int, d: int):
-    """For every cell g of degree 1..d-1 on the value grid of the threshold
-    table ``table`` of an n-member equal-degree-d family, its full
-    multiple set of size k >= 2, where the quotient is largest, as
-    (numerator, denominator, mask of the multiples); only margins at or
-    below zero.
+def _equal_candidates(table, n: int, d: int):
+    """Yield, for every cell g of degree 1..d-1 with k >= 2 multiples
+    among the n members of an equal-degree-d threshold table ``table``,
+    the full multiple set, where the quotient is largest, as (numerator,
+    denominator, mask of the multiples); only margins at or below zero.
 
-    ``_lattice_walk`` visits the cells.  Variables that no member uses are
-    not walked, so the depth stays below the number of axes that a box of
-    ``GRID_LIMIT`` cells can have."""
+    The one place that routes between the scans.  When the exponent box,
+    of min(max exponent of x_i, d-1) + 1 cells along axis i, has at most
+    ``GRID_LIMIT`` cells, ``_lattice_walk`` visits the value grid, without
+    the variables that no member uses, so the depth stays below the number
+    of axes such a box can have.  Otherwise ``_closed_cells`` visits the
+    gcds of subsets with at least ``_scan_band``'s ``k_min`` multiples; a
+    cell of degree t above the band's ``top`` has at most C(d-t+v-1, v-1)
+    < ``k_min`` multiples, so the degree bound holds there too."""
     top, k_min = _scan_band(n, d, len(table))
-    if not top:
-        return []
-    # The walk runs from its last column down, so x_0 leads.
-    walked = [pairs for pairs in reversed(table) if pairs[-1][0]]
-    out = []
-    _lattice_walk(walked, len(walked) - 1, (1 << n) - 1, 0, n, d, top, k_min, out)
-    return out
+    if prod(min(pairs[-1][0], d - 1) + 1 for pairs in table) > GRID_LIMIT:
+        for _, t, mask, k in _closed_cells(table, n, k_min):
+            if t and (d - t) * n + t <= d * k:
+                yield t - d * k, k - 1, mask
+    elif top:
+        # The walk runs from its last column down, so x_0 leads.
+        walked = [pairs for pairs in reversed(table) if pairs[-1][0]]
+        out = []
+        _lattice_walk(
+            walked, len(walked) - 1, (1 << n) - 1, 0, n, d, top, k_min, out
+        )
+        yield from out
 
 
 def check_efficient(family: MonomialFamily) -> StabilityVerdict:
@@ -545,23 +545,21 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
     over subsets, and the lexicographically smallest maximizing prefix is
     the oracle's witness.  A maximizing prefix's gcd is g itself, or a
     larger gcd would give a larger quotient, so a candidate is only the
-    mask of its members.  Both scans read one threshold table, built here.
-    Equal-degree-d families whose exponent box, of min(max exponent of
-    x_i, d-1) + 1 cells along axis i, has at most ``GRID_LIMIT`` cells
-    take their candidates from the lattice scan of that box's value grid,
-    where only full multiple sets matter because the quotient grows with
-    k; all others from the closed-cell scan, which visits each gcd of a
-    subset once and raises ``CapacityError`` past ``CLOSURE_LIMIT``
-    visits.  Verdicts equal ``check_brute_force``'s.
+    mask of its members.  The family's threshold table, built here, goes
+    to ``_equal_candidates`` when every member has one degree, where only
+    full multiple sets matter because the quotient grows with k, and which
+    picks the lattice walk or the closed-cell scan by the exponent box;
+    otherwise to ``_mixed_candidates``, on the closed-cell scan.  The
+    closed-cell scan visits each gcd of a subset at most once and raises
+    ``CapacityError`` past ``CLOSURE_LIMIT`` visits.  Verdicts equal
+    ``check_brute_force``'s.
     """
     slope = _validate_for_check(family)
-    n, d = family.n, family.degrees[0]
     table = _thresholds([m.exponents for m in family.members])
-    box = (min(pairs[-1][0], d - 1) + 1 for pairs in table)
-    if family.is_equal_degree and prod(box) <= GRID_LIMIT:
-        candidates = _grid_candidates(table, n, d)
+    if family.is_equal_degree:
+        candidates = _equal_candidates(table, family.n, family.degrees[0])
     else:
-        candidates = _closure_candidates(family, slope, table)
+        candidates = _mixed_candidates(family, slope, table)
     best_num, best_den, best = 0, 1, []
     for num, den, mask in candidates:
         cross = num * best_den - best_num * den

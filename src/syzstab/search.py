@@ -84,28 +84,28 @@ little, so measured there, the tree loses beyond about 4 times from N = 3
 on, and is worth little at N <= 2, whose orbits hold at most 6 sets.  A
 level of more than ``_HELD`` sets abandons the tree, and the search walks.
 
-A representative's status comes from bit masks, with no family object.
-Every family of a search holds the pure powers, so its lattice box (see
-``criterion``) is d^(N+1) cells, d on every axis.  Where that fits
-``criterion.GRID_LIMIT``, read as the search starts, the space holds
-``ge``, the threshold table (``criterion._thresholds``) of every free
-monomial and pure power, built once per search: bit c for free monomial
-c, bit F+j for X_j^d, and for each x_j the values 0..d, each with the
-mask of the monomials whose exponent of x_j is at least it.  A family
-with chosen bits S (its free bits and the N+1 pure bits) walks
+A representative's status comes from integer tuples and bit masks, with
+no family object.  Every family of a search holds the pure powers, so its
+lattice box (see ``criterion``) is d^(N+1) cells, d on every axis.  Where
+that fits ``criterion.GRID_LIMIT``, read as the search starts, the space
+holds ``ge``, the threshold table (``criterion._thresholds``) of every
+free monomial and pure power, built once per search: bit c for free
+monomial c, bit F+j for X_j^d, and for each x_j the values 0..d, each
+with the mask of the monomials whose exponent of x_j is at least it.  A
+family with chosen bits S (its free bits and the N+1 pure bits) walks
 ``criterion._lattice_walk`` from S over that table, with ``_scan_band``
 computed once per search.  That walk holds the cells ``check_efficient``
 walks on the family's own table, and cells at exponents that no chosen
 monomial has; such a cell has the multiples of the cell at the family's
 next exponent, whose degree is higher and margin lower, or none, so it
-decides no status that the family's own cells do not.  Any candidate with a
-negative margin (d-t)*n + t - d*k makes the family unstable, else any
-candidate at all semistable-only, else it is stable.  Within the limit
-only the reported best family, and a resume token's, is built as a
-``MonomialFamily``.  Past it, where ``check_efficient`` would take the
-gcd closure, each representative still goes through ``check_efficient``,
-on a family built from one ``Monomial`` per pure power and per checked
-free index, each made once per search.
+decides no status that the family's own cells do not.  Past the limit,
+each representative's own threshold table, of its pure powers and chosen
+free monomials, goes to ``criterion._equal_candidates``, which takes the
+closed-cell scan there as ``check_efficient`` would.  Either way, any
+candidate with a negative margin (d-t)*n + t - d*k makes the family
+unstable, else any candidate at all semistable-only, else it is stable.
+Only the reported best family, and a resume token's, is built as a
+``MonomialFamily``.
 
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
@@ -126,13 +126,14 @@ from . import criterion
 from ._value import Value
 from .criterion import (
     Stability,
+    _equal_candidates,
     _lattice_walk,
     _scan_band,
     _thresholds,
     check_efficient,
 )
 from .errors import Error, UnsupportedRangeError
-from .monomial import Monomial, MonomialFamily, exponent_vectors_of_degree
+from .monomial import MonomialFamily, exponent_vectors_of_degree
 
 DEFAULT_BUDGET = 10**7
 
@@ -223,15 +224,16 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
 
 
 class _Space:
-    """The search space of one (N, d): the free monomials and their index,
-    the pure powers, the orbit filter's blocks of permutation lanes, the
-    orderly tree's held sets and, when given n, the status masks of
-    n-member families.  One is built for each search, or for each worker
-    of a pooled one, and none outlives it.  Lanes are built on first use,
-    so a family rejected by its first block builds no other, and the tree
-    on the first whole partition."""
+    """The search space of one (N, d, n): the free monomials and their
+    index, the pure powers, the orbit filter's blocks of permutation lanes,
+    the orderly tree's held sets and, where the lattice box d^(N+1) fits
+    ``criterion.GRID_LIMIT``, the status masks shared by its n-member
+    families.  One is built for each search, or for each worker of a
+    pooled one, and none outlives it.  Lanes are built on first use, so a
+    family rejected by its first block builds no other, and the tree on
+    the first whole partition."""
 
-    def __init__(self, N: int, d: int, n: Optional[int] = None):
+    def __init__(self, N: int, d: int, n: int):
         self.N = N
         self.free = _free_monomials(N, d)
         self.index = {v: i for i, v in enumerate(self.free)}
@@ -258,11 +260,9 @@ class _Space:
         self.held: Optional[list] = None
         self.n, self.d = n, d
         self.ge: Optional[list[list[tuple[int, int]]]] = None
-        # Without status masks, check_efficient's families are built from a
-        # Monomial per pure power and per checked free index, made once.
-        self.pure = tuple(map(Monomial, self.pure_exps)) if n is None else ()
-        self.monomials: dict[int, Monomial] = {}
-        if n is not None:
+        # Every family's box is d^(N+1), its pure powers putting d on every
+        # axis: where _equal_candidates would walk it, one shared table is.
+        if d ** (N + 1) <= criterion.GRID_LIMIT:
             self.band = _scan_band(n, d, N + 1)
             self.pure_bits = ((1 << (N + 1)) - 1) << free_count
             # Bit c for free index c, bit F + i for X_i^d.
@@ -322,24 +322,20 @@ class _Space:
 
     def status(self, chosen: tuple[int, ...]) -> int:
         """Rank in ``_RANKED`` (0 for unstable) of the family of the pure
-        powers and the chosen free indices.  With status masks, the lattice
-        walk runs over ``ge`` from the family's bits, and the candidates'
-        margins (d - t) * n + t - d * k decide; without, ``check_efficient``
-        does."""
-        if self.ge is None:
-            monomials = self.monomials
-            for c in chosen:
-                if c not in monomials:
-                    monomials[c] = Monomial(self.free[c])
-            members = self.pure + tuple(map(monomials.__getitem__, chosen))
-            status = check_efficient(MonomialFamily(self.N + 1, members)).status.value
-            return _RANKED.index(status) if status in _RANKED else 0
+        powers and the chosen free indices, decided by its candidates'
+        margins (d - t) * n + t - d * k.  With status masks, the lattice
+        walk runs over ``ge`` from the family's bits; without, the family's
+        own threshold table goes to ``_equal_candidates``."""
         n, d = self.n, self.d
-        bits = self.pure_bits
-        for c in chosen:
-            bits |= 1 << c
-        out: list[tuple[int, int, int]] = []
-        _lattice_walk(self.ge, self.N, bits, 0, n, d, *self.band, out)
+        if self.ge is None:
+            table = _thresholds(self.pure_exps + [self.free[c] for c in chosen])
+            out = _equal_candidates(table, n, d)
+        else:
+            bits = self.pure_bits
+            for c in chosen:
+                bits |= 1 << c
+            out = []
+            _lattice_walk(self.ge, self.N, bits, 0, n, d, *self.band, out)
         rank = 2
         for num, den, _ in out:
             # num = t - d*k and den = k - 1, so this is minus the margin.
@@ -546,7 +542,7 @@ def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
 _worker_space: Optional[_Space] = None
 
 
-def _start_worker(N: int, d: int, n: Optional[int]) -> None:
+def _start_worker(N: int, d: int, n: int) -> None:
     global _worker_space
     _worker_space = _Space(N, d, n)
 
@@ -721,23 +717,19 @@ def exhaustive_search(
             truncated_at = (idx, skip + cap)
             break
 
-    # Every family has the lattice box d^(N+1), its pure powers putting d
-    # on every axis: where check_efficient would walk it, the status masks
-    # do.
-    space_args = (N, d, n if d ** (N + 1) <= criterion.GRID_LIMIT else None)
     workers = min(jobs or 1, len(plan), os.cpu_count() or 1)
     pool = nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(
-            workers, initializer=_start_worker, initargs=space_args
+            workers, initializer=_start_worker, initargs=(N, d, n)
         )
     with pool as executor:
         if executor:
             results = executor.map(_scan_in_worker, plan)
         else:
-            results = map(_Space(*space_args).scan, plan) if plan else ()
+            results = map(_Space(N, d, n).scan, plan) if plan else ()
         for job, (fams, orbs, found) in zip(plan, results):
             families += fams
             orbits += orbs

@@ -412,7 +412,7 @@ def test_lattice_scan_skips_unused_variables(monkeypatch):
     monkeypatch.setattr(criterion, "_lattice_walk", recording)
     # Members in canonical order: x0^2, x0 x1, x1^2; x0 divides the first
     # two (mask 0b011), x1 the last two (mask 0b110).
-    candidates = sorted(criterion._grid_candidates(table, fam.n, 2))
+    candidates = sorted(criterion._equal_candidates(table, fam.n, 2))
     assert candidates == [(-3, 1, 0b011), (-3, 1, 0b110)]
     assert max(depths) == 1
     assert check_efficient(fam) == check_brute_force(fam)
@@ -424,7 +424,7 @@ def test_lattice_walk_leaves_no_garbage():
     fam = MonomialFamily.of(
         [(6, 0, 0), (0, 6, 0), (0, 0, 6), (3, 2, 1), (2, 2, 2), (1, 4, 1), (0, 3, 3)]
     )
-    assert criterion._grid_candidates(_table(fam), fam.n, 6)
+    assert list(criterion._equal_candidates(_table(fam), fam.n, 6))
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -495,7 +495,7 @@ def test_lattice_scan_matches_broadcast_reference(fam):
     # families have the common factors x0 and x2, the second in a column
     # that holds one value.
     d = fam.degrees[0]
-    lattice = criterion._grid_candidates(_table(fam), fam.n, d)
+    lattice = criterion._equal_candidates(_table(fam), fam.n, d)
     assert sorted(lattice) == sorted(_broadcast_candidates(fam, d))
 
 

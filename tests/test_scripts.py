@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import syzstab
+from syzstab import criterion, search
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +51,18 @@ def test_sweep_script_rejects_bad_flags_before_any_cell(args, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_sweep_script_reports_an_unsupported_range_without_a_traceback():
+    # N = 2000 in degree 1 asks for 2,001 members in 2,001 variables, past
+    # the member-cell limit of the constructions.
+    proc = run_script("run_sweep.py", "--dims", "2000", "--d-min", "1", "--d-max", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: family too large: 2001 members x 2001 variables exceeds the "
+        "limit of 1000000 member cells\n"
+    )
 
 
 def test_oracle_fuzz_script_agrees():
@@ -104,6 +118,26 @@ def test_search_digest_is_unchanged():
     proc = run_script("search_digest.py", "--max-families", "2000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "runs: 533",
+        "sha256: 2d74cfd4a321acdbc766fe47b730c18e9c03d674e91237b5182493674eecbea4",
+    ]
+
+
+def test_search_digest_is_unchanged_past_the_grid_limit(monkeypatch, capsys):
+    # The same 533 runs with GRID_LIMIT = 0, so that no search shares a mask
+    # table and every status comes from the family's own closed-cell scan.
+    spec = importlib.util.spec_from_file_location(
+        "search_digest", ROOT / "scripts" / "search_digest.py"
+    )
+    search_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(search_digest)
+    walks = []
+    monkeypatch.setattr(criterion, "GRID_LIMIT", 0)
+    for module in (criterion, search):
+        monkeypatch.setattr(module, "_lattice_walk", lambda *args: walks.append(args))
+    assert search_digest.main(["--max-families", "2000"]) == 0
+    assert walks == []
+    assert capsys.readouterr().out.splitlines() == [
         "runs: 533",
         "sha256: 2d74cfd4a321acdbc766fe47b730c18e9c03d674e91237b5182493674eecbea4",
     ]

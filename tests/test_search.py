@@ -302,8 +302,9 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
         [search._ROW_BITS, 1, square, 2 * square, 3 * square, 40 * square]
     ))
     with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
-        # Several families share one filter, as in a search.
-        space = search._Space(N, d)
+        # Several families share one filter, as in a search; the filter
+        # does not read the family size.
+        space = search._Space(N, d, N + 1)
         for _ in range(data.draw(st.integers(1, 4))):
             chosen = set()
             if free:
@@ -645,13 +646,20 @@ def test_mask_status_matches_check_efficient(data):
             chosen |= data.draw(st.sets(st.sampled_from(later)))
     chosen = tuple(sorted(chosen))
     n = N + 1 + len(chosen)
-    space = search._Space(N, d, n)
-    assert space.ge is not None
+    # With GRID_LIMIT below the box d^(N+1), the space holds no shared
+    # masks, and each status goes through the family's own table on the
+    # closed-cell scan.
+    past_limit = data.draw(st.booleans(), label="past the grid limit")
+    limit = d ** (N + 1) - 1 if past_limit else criterion.GRID_LIMIT
+    with patch.object(criterion, "GRID_LIMIT", limit):
+        space = search._Space(N, d, n)
+        assert (space.ge is None) == past_limit
+        rank = space.status(chosen)
     family = MonomialFamily.of(space.pure_exps + [free[c] for c in chosen])
     expected = check_efficient(family).status.value
     ranks = {Stability.UNSTABLE.value: 0, Stability.SEMISTABLE_ONLY.value: 1,
              Stability.STABLE.value: 2}
-    assert space.status(chosen) == ranks[expected]
+    assert rank == ranks[expected]
 
 
 @pytest.mark.parametrize("triple", [(3, 3, 14), (4, 2, 10)])
@@ -662,25 +670,32 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
         return json.dumps([report.to_json_dict(), records])
 
     masks = run()
-    checks = []
+    scans, checks = [], []
+    closed_cells = criterion._closed_cells
 
-    def counting_check(family):
-        checks.append(family)
-        return check_efficient(family)
+    def counting(*args):
+        scans.append(args)
+        return closed_cells(*args)
 
-    monkeypatch.setattr(search, "check_efficient", counting_check)
+    monkeypatch.setattr(criterion, "_closed_cells", counting)
+    monkeypatch.setattr(search, "check_efficient", checks.append)
     assert run() == masks
-    assert checks == []
+    assert scans == []
     # A box of d^(N+1) = 81 or 32 cells past the limit: every representative
-    # takes check_efficient, itself on the closed-cell scan, and nothing
-    # changes.
+    # takes one closed-cell scan of its own table, with no family object
+    # and no check_efficient call, and nothing changes.
     N, d, _ = triple
     monkeypatch.setattr(criterion, "GRID_LIMIT", d ** (N + 1) - 1)
     assert run() == masks
-    assert len(checks) == json.loads(masks)[0]["orbits_examined"]
+    assert len(scans) == json.loads(masks)[0]["orbits_examined"]
+    assert checks == []
 
 
-def test_serial_search_builds_only_the_best_family(monkeypatch):
+@pytest.mark.parametrize("past_limit", [False, True], ids=["masks", "past-limit"])
+def test_serial_search_builds_only_the_best_family(monkeypatch, past_limit):
+    if past_limit:
+        # The box of 3^4 cells one past the limit: no shared masks.
+        monkeypatch.setattr(criterion, "GRID_LIMIT", 3**4 - 1)
     built = []
     init = MonomialFamily.__init__
 
