@@ -46,6 +46,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--max-degree", type=int, default=MAX_DEGREE)
     args = p.parse_args(argv)
+    if args.max_degree < 1:
+        print("error: --max-degree must be at least 1", file=sys.stderr)
+        return 1
     h = hashlib.sha256()
     count = 0
     for line in lines(args.max_degree):

@@ -52,14 +52,14 @@ def random_family(
             return family
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--max-dim", type=int, default=3)
     parser.add_argument("--max-degree", type=int, default=8)
     parser.add_argument("--max-size", type=int, default=12)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     # 2^n subsets per family of n members: the oracle's budget caps n.
     top = criterion.BRUTE_BUDGET.bit_length() - 1
     for bad, message in (

@@ -41,7 +41,7 @@ def sweep_cell(cell: tuple[int, int]) -> tuple[int, int, int, list[str]]:
     return N, d, len(sizes), problems
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--dims", type=int, nargs="+", default=[2, 3, 4, 5], metavar="N"
@@ -49,7 +49,7 @@ def main() -> int:
     parser.add_argument("--d-min", type=int, default=1)
     parser.add_argument("--d-max", type=int, default=8)
     parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     for bad, message in (
         (min(args.dims) < 2, "--dims must all be at least 2"),
         (args.d_min < 1, "--d-min must be at least 1"),

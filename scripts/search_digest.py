@@ -72,6 +72,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--max-families", type=int, default=MAX_FAMILIES)
     args = p.parse_args(argv)
+    if args.max_families < 0:
+        print("error: --max-families must be at least 0", file=sys.stderr)
+        return 1
     h = hashlib.sha256()
     count = 0
     for line in runs(args.max_families):

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from math import comb, inf, prod
 
 from ._value import Value
@@ -61,7 +60,7 @@ from .errors import (
     InvalidFamilyError,
     InvalidVerdictError,
 )
-from .monomial import Monomial, MonomialFamily, _canonical, _valid_monomial
+from .monomial import Monomial, MonomialFamily, _canonical
 
 BRUTE_BUDGET = 2**24
 GRID_LIMIT = 500_000
@@ -170,8 +169,9 @@ def subset_quotient(
     family: MonomialFamily, indices: tuple[int, ...]
 ) -> SubsetWitness:
     """Evaluate one subset exactly: its gcd and the quotient the criterion
-    compares against the family slope.  Accepts the full index set too, so
-    witnesses can be re-validated independently of how they were found."""
+    compares against the family slope, read off the chosen members'
+    exponent tuples.  Accepts the full index set too, so witnesses can be
+    re-validated independently of how they were found."""
     idx = tuple(indices)
     if len(idx) < 2:
         raise InvalidFamilyError("a subset needs at least two members")
@@ -180,12 +180,12 @@ def subset_quotient(
     for i in idx:
         if not 0 <= i < family.n:
             raise InvalidFamilyError(f"index {i} out of range in {idx}")
-    chosen = [family.members[i] for i in idx]
-    g = reduce(Monomial.gcd, chosen)
-    quotient = Fraction(g.degree - sum(m.degree for m in chosen), len(idx) - 1)
+    chosen = [family.members[i].exponents for i in idx]
+    g = tuple(map(min, *chosen))
+    quotient = Fraction(sum(g) - sum(map(sum, chosen)), len(idx) - 1)
     return SubsetWitness(
         indices=idx,
-        gcd=g,
+        gcd=Monomial(g),
         size=len(idx),
         quotient=quotient,
         family_slope=family_slope(family),
@@ -245,7 +245,7 @@ def _verdict(
     exps = (family.members[i].exponents for i in indices)
     witness = SubsetWitness(
         indices=indices,
-        gcd=_valid_monomial(tuple(map(min, *exps))),
+        gcd=Monomial(tuple(map(min, *exps))),
         size=len(indices),
         quotient=quotient,
         family_slope=slope,
@@ -312,9 +312,10 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
     """Decide stability by evaluating every proper subset of size >= 2.
 
     The maximizing subset (ties broken by lexicographically smallest index
-    tuple) becomes the witness when the verdict is not stable.  Quotients
-    are compared as integer pairs by cross-multiplication; the walk builds
-    an index tuple only for a subset that ties or beats the best so far.
+    tuple) becomes the witness when the verdict is not stable.  The walk
+    runs on exponent tuples, each node carrying its subset's gcd as one,
+    and compares quotients as integer pairs by cross-multiplication; it
+    builds an index tuple only for a subset that ties or beats the best.
     """
     slope = _validate_for_check(family)
     n = family.n
@@ -323,32 +324,32 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
             f"brute force over {n} members would visit 2^{n} subsets, "
             f"beyond the budget {BRUTE_BUDGET}; use check_efficient instead"
         )
-    members, degs = family.members, family.degrees
+    exps, degs = [m.exponents for m in family.members], family.degrees
 
     # The best quotient so far is best_num / best_den; -1 / 0 stands below
-    # every quotient, since denominators are positive.
+    # every quotient, since denominators are positive.  The root's gcd is
+    # the members' lcm, which every member divides.
     best_num, best_den, best_idx = -1, 0, ()
     chosen: list[int] = []
 
-    def visit(i: int, g: Monomial | None, deg_sum: int):
+    def visit(i: int, g: tuple[int, ...], deg_sum: int):
         nonlocal best_num, best_den, best_idx
         if i == n:
             den = len(chosen) - 1
             if 0 < den < n - 1:
-                num = sum(g.exponents) - deg_sum
+                num = sum(g) - deg_sum
                 cross = num * best_den - best_num * den
                 if cross >= 0:
                     idx = tuple(chosen)
                     if cross or idx < best_idx:
                         best_num, best_den, best_idx = num, den, idx
             return
-        m = members[i]
         chosen.append(i)
-        visit(i + 1, m if g is None else g.gcd(m), deg_sum + degs[i])
+        visit(i + 1, tuple(map(min, g, exps[i])), deg_sum + degs[i])
         chosen.pop()
         visit(i + 1, g, deg_sum)
 
-    visit(0, None, 0)
+    visit(0, tuple(map(max, *exps)), 0)
     if not best_den:
         return _verdict(family, slope)
     return _verdict(family, slope, Fraction(best_num, best_den), best_idx)

@@ -40,8 +40,7 @@ class Monomial(Value):
 
     # Built once per member by the generators and compared once per adjacent
     # pair in a family's duplicate check, so __init__, __eq__ and __hash__
-    # are written out instead of looping over _FIELDS.  Gcds of valid
-    # monomials skip __init__ through ``_valid_monomial``.
+    # are written out instead of looping over _FIELDS.
     def __init__(self, exponents: tuple[int, ...]) -> None:
         try:
             exps = tuple(map(index, exponents))
@@ -89,7 +88,7 @@ class Monomial(Value):
                 f"cannot combine monomials over {self.var_count} and "
                 f"{other.var_count} variables"
             )
-        return _valid_monomial(tuple(map(min, self.exponents, other.exponents)))
+        return Monomial(tuple(map(min, self.exponents, other.exponents)))
 
     def canon_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key: degree ascending, then exponents descending-lex.
@@ -115,8 +114,6 @@ class Monomial(Value):
         return " ".join(parts)
 
 
-_new_object = object.__new__
-_set_exponents = Monomial.exponents.__set__
 _exponents = attrgetter("exponents")
 _degree = attrgetter("degree")
 
@@ -129,18 +126,6 @@ def _canonical(monomials: Iterable[Monomial]) -> list[Monomial]:
     ordered = sorted(monomials, key=_exponents, reverse=True)
     ordered.sort(key=_degree)
     return ordered
-
-
-def _valid_monomial(exponents: tuple[int, ...]) -> Monomial:
-    """A ``Monomial`` over ``exponents`` without ``__init__``'s checks.
-
-    Only for a componentwise minimum of valid monomials' exponent tuples
-    over one variable count, which is as long as they are, nonnegative,
-    of no larger degree and already a tuple of ints.  The subset oracle
-    builds one per subset it visits."""
-    m = _new_object(Monomial)
-    _set_exponents(m, exponents)
-    return m
 
 
 def _parse_int(text: str) -> int:
@@ -291,7 +276,7 @@ class MonomialFamily(Value):
 
     def overall_gcd(self) -> Monomial:
         exps = zip(*(m.exponents for m in self.members))
-        return _valid_monomial(tuple(map(min, exps)))
+        return Monomial(tuple(map(min, exps)))
 
     def is_m_primary(self) -> bool:
         """True when the family contains a pure power of every variable,

@@ -524,19 +524,6 @@ def _unrank(rank: int, size: int, low: int, end: int) -> list[int]:
     return chosen
 
 
-def _is_representative(chosen: tuple[int, ...], space: _Space) -> bool:
-    """True iff no axis permutation maps the chosen free indices C to a
-    larger M(C): with C empty there is nothing to permute.  One sum over
-    C tests each block of lanes, as the module docstring explains; this is
-    the walk's test, one family at a time."""
-    if not chosen:
-        return True
-    diffs, guards, bias, _ = space.first_block()
-    if sum(map(diffs.__getitem__, chosen), bias) & guards:
-        return False
-    return space.passes_rest(chosen)
-
-
 #: A pool worker's ``_Space``, built by ``_start_worker`` as the worker
 #: starts.  A pool lives for one search, so the space dies with it.
 _worker_space: Optional[_Space] = None

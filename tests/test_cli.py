@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,8 +8,11 @@ import sys
 import time
 from importlib import import_module
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import syzstab
 from syzstab import cli, search
@@ -630,6 +635,119 @@ def test_render_json(tmp_path, capsys):
     assert payload["member_count"] == 5
     # Apex is x2^2; the one missing quadric x1 x2 shows as 'o'.
     assert payload["triangle"] == ["  *", " * o", "* * *"]
+
+
+# -- no input ends in a traceback ----------------------------------------
+
+# Member lines, valid and broken: compact and vector forms, headers,
+# comments, bad tokens, an exponent past MAX_DEGREE, a variable index past
+# the member-cell limit and numbers ``int`` cannot read.
+FAMILY_LINES = [
+    "x0^2", "x1^3", "x2", "x0 x1", "x0 x0", "2 0 1", "0 3 0", "1 1 1", "3 0",
+    "1", "vars=3", "vars=1", "vars=x", "# note", "", "x0^", "x-1", "y2",
+    "2 0 -1", "x0^2.5", "x3^1000001", "x0^999999 x1", "x10000000", "9" * 30,
+    "\u00b2",
+]
+JUNK = ["x", "1.5", "", "-0", "9" * 20]
+RESUME_TOKEN = exhaustive_search(2, 3, 6, budget=17).resume_token
+
+family_texts = st.one_of(
+    st.sampled_from([STABLE_TEXT, UNSTABLE_TEXT, SEMISTABLE_TEXT]),
+    st.lists(
+        st.tuples(*[st.sampled_from("0123")] * 3).map(" ".join), min_size=2,
+        max_size=8, unique=True,
+    ).map("\n".join),
+    st.lists(st.sampled_from(FAMILY_LINES), max_size=8).map("\n".join),
+)
+resume_tokens = st.one_of(
+    st.just(RESUME_TOKEN),
+    st.text(max_size=20),
+    st.builds(
+        lambda key, value: json.dumps({**json.loads(RESUME_TOKEN), key: value}),
+        st.sampled_from(sorted(json.loads(RESUME_TOKEN))),
+        st.one_of(st.none(), st.integers(-3, 40), st.text(max_size=5)),
+    ),
+)
+
+
+def numbers(low, high):
+    """Argument tokens: the integers ``low..high``, now and then junk."""
+    return st.sampled_from([str(i) for i in range(low, high + 1)] * 3 + JUNK)
+
+
+@st.composite
+def cli_inputs(draw):
+    """``(argv, family text)``: an argument list for one subcommand, and
+    the text its family path or stdin holds.  Searches are small or cut by
+    a budget, and ``--jobs`` is absent or 1, so no draw starts a process."""
+    text = draw(family_texts)
+    command = draw(st.sampled_from(
+        ["check", "check", "generate", "moduli", "render", "search", "bogus"]
+    ))
+    flags = {
+        "check": ["--brute", "--json"],
+        "generate": ["--render", "--check", "--json"],
+        "moduli": ["--json"],
+        "render": ["--json"],
+    }.get(command)
+    argv = [command]
+    if flags:
+        argv += draw(st.lists(st.sampled_from(flags * 3 + ["--bogus"]), max_size=3))
+    if command in ("check", "render"):
+        sources = ["path", "-"] * 3 + ["no-such-file", "none"]
+        source = draw(st.sampled_from(sources + ["inline"] * 3))
+        if source == "inline" and command == "check":
+            argv += ["--inline", text.replace("\n", ", ")]
+        elif source != "none":
+            argv.append(source)
+    elif command in ("generate", "moduli"):
+        count = draw(st.sampled_from([3, 3, 3, 3, 2, 4]))
+        argv += draw(st.lists(numbers(0, 8), min_size=count, max_size=count))
+    elif command == "search":
+        argv += draw(st.one_of(
+            st.just(["2", "3", "6"]),
+            st.tuples(numbers(0, 2), numbers(0, 4), numbers(0, 10)).map(list),
+        ))
+        if draw(st.booleans()):
+            argv += ["--budget", draw(numbers(-1, 300))]
+        if draw(st.booleans()):
+            argv += ["--jobs", "1"]
+        if draw(st.booleans()):
+            argv += ["--resume", draw(resume_tokens)]
+    return argv, text
+
+
+@pytest.fixture(scope="module")
+def family_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "family.txt"
+
+
+@given(cli_inputs())
+# Inputs that once ended in a traceback: a degree past MAX_DEGREE, families
+# past the member-cell limit, an induction past the recursion limit, and
+# digits ``int`` cannot read.
+@example((["generate", "2", "5", "2000000"], ""))
+@example((["check", "--inline", "x99999999"], ""))
+@example((["check", "path"], "vars=100000000\nx0"))
+@example((["generate", "2000", "2002", "2"], ""))
+@example((["check", "-"], "\u00b2 1"))
+@example((["check", "--inline", "9" * 5000], ""))
+@settings(max_examples=150, deadline=None)
+def test_no_cli_input_ends_in_a_traceback(family_path, drawn):
+    # An exception other than the package's errors would escape main() and
+    # fail the draw; an error must be reported on stderr.
+    argv, text = drawn
+    family_path.write_text(text, encoding="utf-8")
+    argv = [str(family_path) if arg == "path" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
 
 
 def test_installed_script_smoke(tmp_path):

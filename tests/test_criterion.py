@@ -852,3 +852,31 @@ def test_oracle_matches_fraction_reference(fam):
     # Whole verdicts: status, slope, witness indices, gcd, size, quotient
     # and the m-primary flag.
     assert check_brute_force(fam) == reference_oracle(fam)
+
+
+def test_oracle_walks_exponent_tuples(monkeypatch):
+    # 2^12 subsets, and no Monomial.gcd call among them: the walk's gcds
+    # are exponent tuples.  The only Monomials built are the overall gcd
+    # and the witness's.
+    fam = MonomialFamily.of(
+        [(4, 0, 0), (0, 4, 0), (0, 0, 3), (1, 1, 0), (2, 0, 1), (0, 2, 2),
+         (1, 1, 1), (3, 1, 0), (0, 1, 3), (2, 2, 0), (1, 0, 2), (4, 4, 4)]
+    )
+    expected = reference_oracle(fam)
+    calls = {"gcd": 0, "init": 0}
+    gcd, init = Monomial.gcd, Monomial.__init__
+
+    def counting_gcd(self, other):
+        calls["gcd"] += 1
+        return gcd(self, other)
+
+    def counting_init(self, exponents):
+        calls["init"] += 1
+        init(self, exponents)
+
+    monkeypatch.setattr(Monomial, "gcd", counting_gcd)
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    verdict = check_brute_force(fam)
+    assert calls == {"gcd": 0, "init": 2}
+    assert verdict == expected
+    assert verdict.status is Stability.UNSTABLE

@@ -22,6 +22,15 @@ def run_script(name, *args):
     )
 
 
+def load_script(name):
+    """The script ``scripts/<name>.py`` as a module, to call its ``main``
+    in process."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_sweep_script_checks_every_cell():
     # N = 2 has C(d+2, 2) - 2 plane sizes: 1 + 4 + 8 + 13 for d = 1..4.
     # N = 3 has sizes 4..C(d+2, 2)+1 plus the full set C(d+3, 3) whenever it
@@ -43,14 +52,12 @@ def test_sweep_script_checks_every_cell():
         (["--jobs", "0"], "--jobs must be at least 1"),
     ],
 )
-def test_sweep_script_rejects_bad_flags_before_any_cell(args, message):
+def test_sweep_script_rejects_bad_flags_before_any_cell(args, message, capsys):
     # No construction covers N < 2 or d < 1, an empty degree range sweeps
     # nothing and no worker count below one runs anything; each is refused
     # before the first cell runs.
-    proc = run_script("run_sweep.py", *args)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+    assert load_script("run_sweep").main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_sweep_script_reports_an_unsupported_range_without_a_traceback():
@@ -85,24 +92,21 @@ def test_oracle_fuzz_script_agrees():
         (["--max-size", "25"], "--max-size must be between 2 and 24"),
     ],
 )
-def test_oracle_fuzz_script_rejects_bad_flags_before_any_sample(args, message):
+def test_oracle_fuzz_script_rejects_bad_flags_before_any_sample(
+    args, message, capsys
+):
     # No family has fewer than two variables, degree 0 or one member, the
     # oracle refuses more than 24 members, and no samples checks nothing.
-    proc = run_script("run_oracle_fuzz.py", *args)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+    assert load_script("run_oracle_fuzz").main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_oracle_fuzz_script_draws_from_a_small_space():
+def test_oracle_fuzz_script_draws_from_a_small_space(capsys):
     # Two variables in degree 1 give only x0 and x1: a mixed draw of up to
-    # twelve members must stop at two.
-    proc = run_script(
-        "run_oracle_fuzz.py", "--samples", "20", "--seed", "1",
-        "--max-dim", "1", "--max-degree", "1",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-4:] == [
+    # twelve members must stop at two.  Run in process, through main(argv).
+    argv = ["--samples", "20", "--seed", "1", "--max-dim", "1", "--max-degree", "1"]
+    assert load_script("run_oracle_fuzz").main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == [
         "stable: 20",
         "semistable-only: 0",
         "unstable: 0",
@@ -126,11 +130,7 @@ def test_search_digest_is_unchanged():
 def test_search_digest_is_unchanged_past_the_grid_limit(monkeypatch, capsys):
     # The same 533 runs with GRID_LIMIT = 0, so that no search shares a mask
     # table and every status comes from the family's own closed-cell scan.
-    spec = importlib.util.spec_from_file_location(
-        "search_digest", ROOT / "scripts" / "search_digest.py"
-    )
-    search_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(search_digest)
+    search_digest = load_script("search_digest")
     walks = []
     monkeypatch.setattr(criterion, "GRID_LIMIT", 0)
     for module in (criterion, search):
@@ -154,3 +154,27 @@ def test_plane_digest_is_unchanged():
         "planes: 430",
         "sha256: cf1c22fb7e0164a739adfeb99a51aeb8a4b460bcefba7414509fd8c01edc7bb9",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("plane_digest", ["--max-degree", "0"], "--max-degree must be at least 1"),
+        ("plane_digest", ["--max-degree", "-4"], "--max-degree must be at least 1"),
+        (
+            "search_digest", ["--max-families", "-1"],
+            "--max-families must be at least 0",
+        ),
+    ],
+)
+def test_digest_scripts_refuse_bounds_that_select_nothing(name, args, message, capsys):
+    # Such a bound hashes no input and would print the empty digest.
+    assert load_script(name).main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_search_digest_at_zero_families_runs_the_empty_searches(capsys):
+    # n <= N leaves no free member to choose, so those searches hold no
+    # family and still run.
+    assert load_script("search_digest").main(["--max-families", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "runs: 30"

@@ -272,7 +272,7 @@ def sorted_sequence_is_minimal(family_exps, perms):
 
 
 def sorted_sequence_filter(N):
-    """``_is_representative`` by ``sorted_sequence_is_minimal``, on the
+    """The orbit filter by ``sorted_sequence_is_minimal``, on the
     exponents of the chosen free indices and the pure powers."""
     perms = list(permutations(range(N + 1)))
 
@@ -322,9 +322,16 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
                     chosen = grown
             chosen = tuple(sorted(chosen))
             exps = tuple(sorted(pure + [free[c] for c in chosen]))
-            assert search._is_representative(chosen, space) == (
-                sorted_sequence_is_minimal(exps, perms)
+            # The filter, one family at a time: with C empty there is
+            # nothing to permute; otherwise one sum over C tests block 0's
+            # lanes, and passes_rest the later blocks and the permutations
+            # past the lanes.
+            diffs, guards, bias, _ = space.first_block()
+            passes = not chosen or (
+                not sum(map(diffs.__getitem__, chosen), bias) & guards
+                and space.passes_rest(chosen)
             )
+            assert passes == sorted_sequence_is_minimal(exps, perms)
 
 
 def reference_scan(space, job, is_minimal):
