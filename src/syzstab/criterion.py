@@ -53,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, inf, prod
 
-from ._value import Value
+from ._value import Value, json_form
 from .errors import (
     CapacityError,
     CommonFactorError,
@@ -75,10 +75,6 @@ class Stability(Enum):
     UNSTABLE = "unstable"
 
 
-def _fraction_pair(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
-
-
 class SubsetWitness(Value):
     """A subset of member indices together with its exact quotient.
 
@@ -90,16 +86,6 @@ class SubsetWitness(Value):
     _FIELDS = ("indices", "gcd", "size", "quotient", "family_slope")
     __slots__ = _FIELDS
 
-    def __init__(
-        self,
-        indices: tuple[int, ...],
-        gcd: Monomial,
-        size: int,
-        quotient: Fraction,
-        family_slope: Fraction,
-    ) -> None:
-        self._assign(indices, gcd, size, quotient, family_slope)
-
     @property
     def gcd_degree(self) -> int:
         return self.gcd.degree
@@ -110,8 +96,8 @@ class SubsetWitness(Value):
             "gcd": list(self.gcd.exponents),
             "gcd_degree": self.gcd_degree,
             "size": self.size,
-            "quotient": _fraction_pair(self.quotient),
-            "family_slope": _fraction_pair(self.family_slope),
+            "quotient": json_form(self.quotient),
+            "family_slope": json_form(self.family_slope),
         }
 
 
@@ -130,23 +116,14 @@ class StabilityVerdict(Value):
         "criterion_value_only",
     )
     __slots__ = _FIELDS
-
-    def __init__(
-        self,
-        status: Stability,
-        family_slope: Fraction,
-        violation: SubsetWitness | None = None,
-        equality_witness: SubsetWitness | None = None,
-        criterion_value_only: bool = False,
-    ) -> None:
-        self._assign(
-            status, family_slope, violation, equality_witness, criterion_value_only
-        )
+    _DEFAULTS = {
+        "violation": None, "equality_witness": None, "criterion_value_only": False,
+    }
 
     def to_json_dict(self) -> dict:
         out: dict = {
             "status": self.status.value,
-            "family_slope": _fraction_pair(self.family_slope),
+            "family_slope": json_form(self.family_slope),
             "criterion_value_only": self.criterion_value_only,
         }
         if self.violation is not None:
@@ -561,30 +538,27 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
         candidates = _equal_candidates(table, family.n, family.degrees[0])
     else:
         candidates = _mixed_candidates(family, slope, table)
-    best_num, best_den, best = 0, 1, []
+    # A candidate mask is never 0, so 0 stands for none yet; ties keep the
+    # witness rule's first mask as they arrive.
+    best_num, best_den, best = 0, 1, 0
     for num, den, mask in candidates:
         cross = num * best_den - best_num * den
         if not best or cross > 0:
-            best_num, best_den, best = num, den, [mask]
+            best_num, best_den, best = num, den, mask
         elif cross == 0:
-            best.append(mask)
+            best = _first_mask(best, mask)
     if not best:
         return _verdict(family, slope)
-    mask = _first_mask(best)
-    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    indices = tuple(i for i in range(best.bit_length()) if best >> i & 1)
     return _verdict(family, slope, Fraction(best_num, best_den), indices)
 
 
-def _first_mask(masks):
-    """The mask whose index tuple (its set bits, ascending) is
-    lexicographically smallest, compared pairwise without building tuples.
-    Two masks agree below their lowest differing bit; the one holding that
-    bit comes first, unless the other has no bit above it and so is a
-    prefix of it."""
-    first = masks[0]
-    for mask in masks:
-        diff = first ^ mask
-        low = diff & -diff
-        holder, other = (first, mask) if first & low else (mask, first)
-        first = holder if other > low else other
-    return first
+def _first_mask(first: int, mask: int) -> int:
+    """Of two masks, the one whose index tuple (its set bits, ascending) is
+    lexicographically smaller, compared without building tuples.  The masks
+    agree below their lowest differing bit; the one holding that bit comes
+    first, unless the other has no bit above it and so is a prefix of it."""
+    diff = first ^ mask
+    low = diff & -diff
+    holder, other = (first, mask) if first & low else (mask, first)
+    return holder if other > low else other

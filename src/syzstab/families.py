@@ -47,15 +47,6 @@ class FamilyRecipe(Value):
     ) -> None:
         self._assign(N, n, d, source, {} if params is None else params)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "d": self.d,
-            "source": self.source,
-            "params": {k: v for k, v in sorted(self.params.items())},
-        }
-
 
 def _comb2(x: int) -> int:
     """x choose 2, clamped to 0 for x < 2."""

@@ -47,43 +47,6 @@ class ModuliReport(Value):
     )
     __slots__ = _FIELDS
 
-    def __init__(
-        self,
-        N: int,
-        n: int,
-        d: int,
-        rank: int,
-        c1: int,
-        slope: Fraction,
-        h0: int,
-        h1: int,
-        h2: int,
-        h3: int,
-        h1_twist: int,
-        ext1: int,
-        component_dim: int,
-    ) -> None:
-        self._assign(
-            N, n, d, rank, c1, slope, h0, h1, h2, h3, h1_twist, ext1, component_dim
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "d": self.d,
-            "rank": self.rank,
-            "c1": self.c1,
-            "slope": [self.slope.numerator, self.slope.denominator],
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-            "h3": self.h3,
-            "h1_twist": self.h1_twist,
-            "ext1": self.ext1,
-            "component_dim": self.component_dim,
-        }
-
 
 def chern_and_slope(n: int, d: int) -> tuple[int, Fraction]:
     """First Chern class and slope of the syzygy bundle of n degree-d forms."""

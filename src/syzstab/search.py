@@ -184,38 +184,7 @@ class SearchReport(Value):
         "best_family", "exhausted", "resume_token",
     )
     __slots__ = _FIELDS
-
-    def __init__(
-        self,
-        N: int,
-        n: int,
-        d: int,
-        families_examined: int,
-        orbits_examined: int,
-        best_status: str,
-        best_family: Optional[MonomialFamily],
-        exhausted: bool,
-        resume_token: Optional[str] = None,
-    ) -> None:
-        self._assign(
-            N, n, d, families_examined, orbits_examined, best_status, best_family,
-            exhausted, resume_token,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "d": self.d,
-            "families_examined": self.families_examined,
-            "orbits_examined": self.orbits_examined,
-            "best_status": self.best_status,
-            "best_family": (
-                None if self.best_family is None else self.best_family.to_json_dict()
-            ),
-            "exhausted": self.exhausted,
-            "resume_token": self.resume_token,
-        }
+    _DEFAULTS = {"resume_token": None}
 
 
 def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:

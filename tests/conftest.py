@@ -1,0 +1,34 @@
+import concurrent.futures
+
+import pytest
+
+from syzstab import search
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Make a search's process pool run its jobs in this process, in order,
+    on a box of 2 CPUs, so that no test starts a worker; the list it gives
+    holds the worker count of each pool made."""
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            created.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    # The pool class is looked up only when more than one worker runs.  Its
+    # initializer builds the worker's space, here in this process.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search, "_worker_space", None)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    return created

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import syzstab
@@ -391,7 +392,8 @@ def test_deep_induction_is_one_pass():
 
 # Runs ``syzstab ARGS`` in a fresh interpreter, when given any, and reports
 # on its last stderr line which of numpy, the process pool, dataclasses,
-# inspect and the package's modules were loaded.
+# inspect and the package's modules were loaded.  Stdin holds a plane
+# family, so ``check -`` runs the lattice scan.
 LOADED_PROBE = """
 import sys
 from syzstab import cli
@@ -403,10 +405,16 @@ sys.exit(rc)
 """
 
 
-def run_fresh(*args, stdin=None):
+PLANE_TEXT = generate_P2(30, 8)[0].to_text()
+
+
+@functools.cache
+def run_fresh(*args):
+    """The finished process and the modules it loaded.  The tests below
+    share one run of each command."""
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_PROBE, *args],
-        input=stdin,
+        input=PLANE_TEXT,
         capture_output=True,
         text=True,
         timeout=60,
@@ -434,7 +442,7 @@ def run_fresh(*args, stdin=None):
 def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
     # The package imports no numpy at all, the lattice scan (the last three
     # paths) included, and a serial run loads no process pool.
-    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
+    proc, loaded = run_fresh(*args)
     assert proc.returncode == rc, proc.stderr
     assert "numpy" not in loaded
     assert "concurrent.futures.process" not in loaded
@@ -458,7 +466,7 @@ def test_paths_without_lattice_scan_do_not_load_numpy(args, rc):
 def test_subcommands_load_no_dataclasses_or_inspect(args, rc):
     # The result types are plain value classes, so no process pays for
     # dataclasses or the inspect module it imports.
-    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
+    proc, loaded = run_fresh(*args)
     assert proc.returncode == rc, proc.stderr
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
@@ -479,14 +487,19 @@ BASE = {"syzstab.cli", "syzstab.errors"}
         (("check", "--json", "-"), {"criterion", "monomial", "_value"}),
         (("check", "--brute", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), {"criterion", "monomial", "_value"}),
         (("search", "2", "2", "5"), {"search", "criterion", "monomial", "_value"}),
+        (("generate", "2", "10", "4", "--json"), {"families", "monomial", "_value"}),
+        (("generate", "2", "10", "4", "--check", "--json"), {"families", "monomial", "criterion", "_value"}),
+        (("check", "--inline", "x0^2, x1^3, x0 x1^2"), {"criterion", "monomial", "_value"}),
+        (("check", "--json", "--inline", "x0^5, x1^5, x2^5, x0^4 x1"), {"criterion", "monomial", "_value"}),
     ],
 )
 def test_each_subcommand_loads_only_its_modules(args, modules):
-    proc, loaded = run_fresh(*args, stdin=generate_P2(30, 8)[0].to_text())
-    assert proc.returncode in (0, 3), proc.stderr
-    assert {m for m in loaded if m.startswith("syzstab.")} == BASE | {
-        f"syzstab.{m}" for m in modules
-    }
+    # Exactly its package modules, and none of the heavy ones the probe
+    # names: the result types' constructors are built without dataclasses
+    # or the inspect module it imports.
+    proc, loaded = run_fresh(*args)
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert loaded == BASE | {f"syzstab.{m}" for m in modules}
 
 
 def test_import_loads_no_submodule():
@@ -679,7 +692,7 @@ def numbers(low, high):
 def cli_inputs(draw):
     """``(argv, family text)``: an argument list for one subcommand, and
     the text its family path or stdin holds.  Searches are small or cut by
-    a budget, and ``--jobs`` is absent or 1, so no draw starts a process."""
+    a budget, and ``--jobs`` runs on the ``serial_pool`` fixture."""
     text = draw(family_texts)
     command = draw(st.sampled_from(
         ["check", "check", "generate", "moduli", "render", "search", "bogus"]
@@ -711,7 +724,7 @@ def cli_inputs(draw):
         if draw(st.booleans()):
             argv += ["--budget", draw(numbers(-1, 300))]
         if draw(st.booleans()):
-            argv += ["--jobs", "1"]
+            argv += ["--jobs", draw(numbers(0, 4))]
         if draw(st.booleans()):
             argv += ["--resume", draw(resume_tokens)]
     return argv, text
@@ -732,10 +745,15 @@ def family_path(tmp_path_factory):
 @example((["generate", "2000", "2002", "2"], ""))
 @example((["check", "-"], "\u00b2 1"))
 @example((["check", "--inline", "9" * 5000], ""))
-@settings(max_examples=150, deadline=None)
-def test_no_cli_input_ends_in_a_traceback(family_path, drawn):
+@example((["search", "2", "3", "6", "--jobs", "4"], ""))
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_no_cli_input_ends_in_a_traceback(family_path, serial_pool, drawn):
     # An exception other than the package's errors would escape main() and
-    # fail the draw; an error must be reported on stderr.
+    # fail the draw; an error must be reported on stderr.  The fake pool
+    # stays in place for every draw.
     argv, text = drawn
     family_path.write_text(text, encoding="utf-8")
     argv = [str(family_path) if arg == "path" else arg for arg in argv]

@@ -1,10 +1,14 @@
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import syzstab
 from syzstab import criterion, search
@@ -178,3 +182,68 @@ def test_search_digest_at_zero_families_runs_the_empty_searches(capsys):
     # family and still run.
     assert load_script("search_digest").main(["--max-families", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "runs: 30"
+
+
+# -- no script input ends in a traceback ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def scripts():
+    return {name: load_script(name) for name in SCRIPT_FLAGS}
+
+
+def ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+# Each script's flags: those whose default runs for seconds, always given,
+# then those drawn or left at their default.  ``run_sweep --jobs`` stays at
+# most 1, since a script loaded in process cannot pickle ``sweep_cell`` for
+# a worker.
+SCRIPT_FLAGS = {
+    "plane_digest": ({"--max-degree": ints(-2, 3)}, {}),
+    "search_digest": ({"--max-families": ints(-2, 30)}, {}),
+    "run_sweep": (
+        {
+            "--dims": st.lists(ints(0, 4), min_size=1, max_size=2),
+            "--d-max": ints(-1, 3),
+        },
+        {"--d-min": ints(-1, 3), "--jobs": ints(-1, 1)},
+    ),
+    "run_oracle_fuzz": (
+        {"--samples": ints(-1, 4), "--seed": ints(0, 3)},
+        {
+            "--max-dim": ints(0, 3),
+            "--max-degree": ints(-1, 5),
+            "--max-size": st.sampled_from(["1", "2", "5", "8", "25"]),
+        },
+    ),
+}
+
+
+@st.composite
+def script_inputs(draw):
+    """``(script name, argv)`` with small valid and invalid numbers."""
+    name = draw(st.sampled_from(sorted(SCRIPT_FLAGS)))
+    given_flags, drawn_flags = SCRIPT_FLAGS[name]
+    argv = []
+    for flag, values in given_flags.items():
+        value = draw(values)
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    for flag, values in drawn_flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return name, argv
+
+
+@given(script_inputs())
+@settings(max_examples=100, deadline=None)
+def test_no_script_input_ends_in_a_traceback(scripts, drawn):
+    name, argv = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = scripts[name].main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,4 +1,3 @@
-import concurrent.futures
 import gc
 import json
 import os
@@ -136,34 +135,13 @@ def test_serial_progress_streams_as_partitions_finish(monkeypatch):
     assert checks_at_first_record[0] < len(checks)
 
 
-def test_worker_count_is_capped_at_partitions_and_cpus(monkeypatch):
-    created = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            created.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    # The pool class is looked up only when more than one worker runs.  Its
-    # initializer builds the worker's space, here in this process.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(search, "_worker_space", None)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+def test_worker_count_is_capped_at_partitions_and_cpus(serial_pool):
     assert exhaustive_search(2, 3, 7, jobs=8) == exhaustive_search(2, 3, 7)
-    assert created == [2]
+    assert serial_pool == [2]
     # Three quadrics in three variables are the pure powers alone: one
     # partition, so no pool at all.
     assert exhaustive_search(2, 2, 3, jobs=8).exhausted
-    assert created == [2]
+    assert serial_pool == [2]
 
 
 def test_orbit_reduction_is_sound():
