@@ -30,6 +30,7 @@ from .monomial import (
     MAX_FAMILY_CELLS,
     MonomialFamily,
     exponent_vectors_of_degree,
+    pure_powers,
 )
 
 #: Catalog constructions cover family sizes 3..18 in the plane.
@@ -68,28 +69,28 @@ def _level_cuts(d: int, parts: int, count: int) -> tuple[tuple[int, ...], int, i
 
 
 def _validated(
-    members: list[tuple[int, ...]], var_count: int, n: int, d: int
-) -> MonomialFamily:
-    family = MonomialFamily.of(members, var_count=var_count)
+    members: list[tuple[int, ...]], N: int, n: int, d: int, source: str,
+    params: dict | None = None,
+) -> tuple[MonomialFamily, FamilyRecipe]:
+    """The family of ``members`` over N+1 variables, checked to have n
+    members, all of degree d, among them every pure power, with the recipe
+    of the construction ``source`` that built it."""
+    family = MonomialFamily.of(members, var_count=N + 1)
     if family.n != n:
         raise InvalidFamilyError(f"expected {n} members, built {family.n}")
     if any(m.degree != d for m in family.members):
         raise InvalidFamilyError(f"expected every member of degree {d}")
     if not family.is_m_primary():
         raise InvalidFamilyError("family must contain every pure power")
-    return family
+    return family, FamilyRecipe(N, n, d, source, params)
 
 
 # -- catalog: plane families of size 3..18 ------------------------------
 
-def _corners(d: int) -> list[tuple[int, ...]]:
-    return [(d, 0, 0), (0, d, 0), (0, 0, d)]
-
-
 def _catalog_members(n: int, d: int) -> tuple[list[tuple[int, ...]], dict]:
     """Member list and parameter record for the size-3..18 catalog."""
     e0, e1, e2 = _balanced_triple(d)
-    out = _corners(d)
+    out = pure_powers(3, d)
 
     if n == 3:
         return out, {}
@@ -208,7 +209,7 @@ def generate_P31(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
             f"got n={n}, d={d}"
         )
     members, params = _catalog_members(n, d)
-    return _validated(members, 3, n, d), FamilyRecipe(2, n, d, "P31", params)
+    return _validated(members, 2, n, d, "P31", params)
 
 
 # -- layered triangular construction: 18 < n <= d+2 ---------------------
@@ -252,10 +253,7 @@ def generate_P32(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         aux.append((0, a, d - a))
 
     params = {"j": j, "r": r, "m": m, "t": t, "e": e, "levels": levels}
-    return (
-        _validated(core + aux[:r], 3, n, d),
-        FamilyRecipe(2, n, d, "P32", params),
-    )
+    return _validated(core + aux[:r], 2, n, d, "P32", params)
 
 
 # -- two-edge strip: d+2 < n <= 3d --------------------------------------
@@ -275,10 +273,7 @@ def generate_P33(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """
     if (n, d) == (5, 2):
         members = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1)]
-        return (
-            _validated(members, 3, n, d),
-            FamilyRecipe(2, n, d, "P33", {"tuned": True}),
-        )
+        return _validated(members, 2, n, d, "P33", {"tuned": True})
     if not d + 2 < n <= 3 * d:
         raise UnsupportedRangeError(
             f"edge-strip construction covers d+2 < n <= 3d; got n={n}, d={d}"
@@ -289,10 +284,7 @@ def generate_P33(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
             (3, 0, 0), (0, 3, 0), (0, 0, 3),
             (2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1),
         ]
-        return (
-            _validated(members, 3, n, d),
-            FamilyRecipe(2, n, d, "P33", {"i": i, "tuned": True}),
-        )
+        return _validated(members, 2, n, d, "P33", {"i": i, "tuned": True})
     base = [(a, d - a, 0) for a in range(d, -1, -1)] + [(0, 0, d)]
     tail = (
         [(a, 0, d - a) for a in range(1, d - 1)]
@@ -300,18 +292,13 @@ def generate_P33(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         + [(0, b, d - b) for b in range(1, d - 1)]
     )
     chosen = tail[:i]
+    params = {"i": i}
     if i == d - 1:
         # Swap out X1^(d-1) X2: it would give X1^(d-1) a third multiple
         # at the one size where two is the most a (d-1)-th power allows.
         chosen[-1] = (0, 2, d - 2)
-        return (
-            _validated(base + chosen, 3, n, d),
-            FamilyRecipe(2, n, d, "P33", {"i": i, "tuned": True}),
-        )
-    return (
-        _validated(base + chosen, 3, n, d),
-        FamilyRecipe(2, n, d, "P33", {"i": i}),
-    )
+        params["tuned"] = True
+    return _validated(base + chosen, 2, n, d, "P33", params)
 
 
 # -- corner fills: 3d < n < full triangle -------------------------------
@@ -361,30 +348,20 @@ def generate_P34(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
         row = [(j, j + u, d - 2 * j - u) for u in range(1, d - 3 * j)]
 
     corners = [v for v in exponent_vectors_of_degree(3, d) if keep(v)]
-    return (
-        _validated(corners + row[:i], 3, n, d),
-        FamilyRecipe(2, n, d, f"P34-case{case}", {"j": j, "i": i}),
-    )
+    return _validated(corners + row[:i], 2, n, d, f"P34-case{case}", {"j": j, "i": i})
 
 
 # -- universal families -------------------------------------------------
 
 def generate_pure_powers(N: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """The N+1 pure powers X_i^d."""
-    members = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
-    return (
-        _validated(members, N + 1, N + 1, d),
-        FamilyRecipe(N, N + 1, d, "PurePowers"),
-    )
+    return _validated(pure_powers(N + 1, d), N, N + 1, d, "PurePowers")
 
 
 def generate_full_set(N: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     """All monomials of degree d in N+1 variables."""
     members = list(exponent_vectors_of_degree(N + 1, d))
-    return (
-        _validated(members, N + 1, len(members), d),
-        FamilyRecipe(N, len(members), d, "FullSet"),
-    )
+    return _validated(members, N, len(members), d, "FullSet")
 
 
 # -- dispatchers --------------------------------------------------------
@@ -430,7 +407,7 @@ def _direct(N: int, n: int, d: int):
     if (N, n, d) == (3, 5, 2):
         members = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
                    (1, 1, 0, 0)]
-        return _validated(members, 4, n, d), FamilyRecipe(N, n, d, "Special352")
+        return _validated(members, N, n, d, "Special352")
     if n == N + 1:
         return generate_pure_powers(N, d)
     if n == comb(d + N, N):
@@ -469,8 +446,6 @@ def generate(N: int, n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:
     if k == 0:
         return built
     members = [m.exponents + (0,) * k for m in built[0].members]
-    members += [(0,) * i + (d,) + (0,) * (N - i) for i in range(N - k + 1, N + 1)]
-    return (
-        _validated(members, N + 1, n, d),
-        FamilyRecipe(N, n, d, "Induction", {"base_N": N - 1, "base_n": n - 1}),
-    )
+    members += pure_powers(N + 1, d)[N + 1 - k:]
+    params = {"base_N": N - 1, "base_n": n - 1}
+    return _validated(members, N, n, d, "Induction", params)

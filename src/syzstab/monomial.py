@@ -38,9 +38,8 @@ class Monomial(Value):
     _FIELDS = ("exponents",)
     __slots__ = _FIELDS
 
-    # Built once per member by the generators and compared once per adjacent
-    # pair in a family's duplicate check, so __init__, __eq__ and __hash__
-    # are written out instead of looping over _FIELDS.
+    # Built once per member by the generators and the parser, so __init__
+    # is written out instead of built from _FIELDS.
     def __init__(self, exponents: tuple[int, ...]) -> None:
         try:
             exps = tuple(map(index, exponents))
@@ -60,14 +59,6 @@ class Monomial(Value):
         if sum(exps) > MAX_DEGREE:
             raise ValueError(f"degree {sum(exps)} exceeds the limit {MAX_DEGREE}")
         object.__setattr__(self, "exponents", exps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash((self.exponents,))
 
     @property
     def var_count(self) -> int:
@@ -90,17 +81,12 @@ class Monomial(Value):
             )
         return Monomial(tuple(map(min, self.exponents, other.exponents)))
 
-    def canon_key(self) -> tuple[int, tuple[int, ...]]:
-        """Sort key: degree ascending, then exponents descending-lex.
-        Families sort by ``_canonical``, which gives the same order."""
-        return (self.degree, tuple(-e for e in self.exponents))
-
     @classmethod
     def parse(cls, text: str, var_count: int | None = None) -> Monomial:
         """Parse a single monomial, either compact (``x0^5 x2^3``) or as a
         bare exponent vector (``5 0 3``), as the one member line of a family:
         the variable count is inferred and capped as in ``from_text``."""
-        return _build_members([(1, *_parse_member_line(text))], var_count)[0]
+        return _build_members([(1, _parse_member_line(text))], var_count)[0]
 
     def __str__(self) -> str:
         if self.is_unit:
@@ -119,10 +105,10 @@ _degree = attrgetter("degree")
 
 
 def _canonical(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Monomials over one variable count in the order of
-    ``Monomial.canon_key``, by two stable sorts on keys read in C:
-    exponent vectors descending, then degree ascending.  Equal monomials
-    end up adjacent."""
+    """Monomials over one variable count in canonical order, degree
+    ascending and then exponent vectors descending lexicographically, by
+    two stable sorts on keys read in C: exponent vectors descending, then
+    degree ascending.  Equal monomials end up adjacent."""
     ordered = sorted(monomials, key=_exponents, reverse=True)
     ordered.sort(key=_degree)
     return ordered
@@ -139,33 +125,37 @@ def _parse_int(text: str) -> int:
         raise FamilyFormatError(f"cannot read number {shown}") from None
 
 
-def _parse_member_line(line: str):
-    """Classify one member line; returns (kind, payload)."""
+def _parse_member_line(line: str) -> list[int] | dict[int, int]:
+    """One member line as data: a bare exponent vector as a list, or the
+    compact form as a dict from variable index to exponent, its indices in
+    the order they first occur (``{}`` for the unit ``1``)."""
     tokens = line.split()
     if not tokens:
         raise FamilyFormatError("empty monomial")
     if tokens == ["1"]:
-        return "unit", None
+        return {}
     if all(tok.isdigit() for tok in tokens):
-        return "vector", [_parse_int(tok) for tok in tokens]
-    pairs = []
+        return [_parse_int(tok) for tok in tokens]
+    powers: dict[int, int] = {}
     for tok in tokens:
         m = _TOKEN_RE.match(tok)
         if m is None:
             raise FamilyFormatError(f"unrecognized token {tok!r}")
         index = _parse_int(m.group(1))
         exponent = 1 if m.group(2) is None else _parse_int(m.group(2))
-        pairs.append((index, exponent))
-    return "compact", pairs
+        powers[index] = powers.get(index, 0) + exponent
+    return powers
 
 
 def _build_members(raw: list, var_count: int | None) -> tuple[Monomial, ...]:
-    """Build classified member lines, ``(lineno, kind, payload)``, over
-    ``var_count`` variables, or over the count the lines imply when it is
-    None.  Refuses more than ``MAX_FAMILY_CELLS`` member cells before any
-    member is built."""
+    """Build member lines, ``(lineno, parsed)`` pairs with ``parsed`` from
+    ``_parse_member_line``, over ``var_count`` variables, or over the count
+    the lines imply when it is None.  Refuses more than
+    ``MAX_FAMILY_CELLS`` member cells before any member is built.  Every
+    failure of a line, ``Monomial``'s own validation included, is a
+    ``FamilyFormatError`` that names the line."""
     if var_count is None:
-        vector_lens = {len(p) for _, kind, p in raw if kind == "vector"}
+        vector_lens = {len(p) for _, p in raw if isinstance(p, list)}
         if len(vector_lens) > 1:
             raise FamilyFormatError(
                 f"inconsistent exponent vector lengths {sorted(vector_lens)}"
@@ -175,7 +165,7 @@ def _build_members(raw: list, var_count: int | None) -> tuple[Monomial, ...]:
             if var_count < 2:
                 raise FamilyFormatError("exponent vectors need at least 2 entries")
         else:
-            indices = [i for _, kind, p in raw if kind == "compact" for i, _ in p]
+            indices = [i for _, powers in raw for i in powers]
             if not indices:
                 raise FamilyFormatError("cannot infer variable count")
             var_count = max(2, max(indices) + 1)
@@ -185,36 +175,24 @@ def _build_members(raw: list, var_count: int | None) -> tuple[Monomial, ...]:
             f"exceeds the limit of {MAX_FAMILY_CELLS} member cells"
         )
     members = []
-    for lineno, kind, payload in raw:
+    for lineno, exps in raw:
         try:
-            members.append(_to_monomial(kind, payload, var_count))
-        except FamilyFormatError as err:
+            if isinstance(exps, dict):
+                powers, exps = exps, [0] * var_count
+                for index, exponent in powers.items():
+                    if index >= var_count:
+                        raise FamilyFormatError(
+                            f"variable x{index} out of range for {var_count} variables"
+                        )
+                    exps[index] = exponent
+            elif len(exps) != var_count:
+                raise FamilyFormatError(
+                    f"expected {var_count} exponents, got {len(exps)}"
+                )
+            members.append(Monomial(tuple(exps)))
+        except (FamilyFormatError, ValueError) as err:
             raise FamilyFormatError(f"line {lineno}: {err}") from None
     return tuple(members)
-
-
-def _to_monomial(kind: str, payload, var_count: int) -> Monomial:
-    """Build one classified member line over ``var_count`` variables.
-    Every failure, including ``Monomial``'s own validation, is reported as
-    a ``FamilyFormatError``."""
-    if kind == "vector":
-        if len(payload) != var_count:
-            raise FamilyFormatError(
-                f"expected {var_count} exponents, got {len(payload)}"
-            )
-        exps = list(payload)
-    else:
-        exps = [0] * var_count
-        for index, exponent in payload or ():
-            if index >= var_count:
-                raise FamilyFormatError(
-                    f"variable x{index} out of range for {var_count} variables"
-                )
-            exps[index] += exponent
-    try:
-        return Monomial(tuple(exps))
-    except ValueError as err:
-        raise FamilyFormatError(str(err)) from None
 
 
 class MonomialFamily(Value):
@@ -239,7 +217,7 @@ class MonomialFamily(Value):
                 )
         ordered = tuple(_canonical(members))
         for a, b in zip(ordered, ordered[1:]):
-            if a == b:
+            if a.exponents == b.exponents:
                 raise DuplicateMemberError(f"duplicate member {a}")
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "members", ordered)
@@ -301,26 +279,21 @@ class MonomialFamily(Value):
         ``vars=K`` pins the variable count.
         """
         var_count: int | None = None
-        raw: list[tuple[int, str, object]] = []
+        raw: list[tuple[int, list[int] | dict[int, int]]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            header = re.match(r"^vars\s*=\s*(\d+)$", line)
-            if header:
+            try:
+                header = re.match(r"^vars\s*=\s*(\d+)$", line)
+                if header is None:
+                    raw.append((lineno, _parse_member_line(line)))
+                    continue
                 if raw or var_count is not None:
-                    raise FamilyFormatError(
-                        f"line {lineno}: vars= header must come first"
-                    )
-                try:
-                    var_count = _parse_int(header.group(1))
-                except FamilyFormatError as err:
-                    raise FamilyFormatError(f"line {lineno}: {err}") from None
+                    raise FamilyFormatError("vars= header must come first")
+                var_count = _parse_int(header.group(1))
                 if var_count < 2:
                     raise FamilyFormatError("vars= must be at least 2")
-                continue
-            try:
-                raw.append((lineno, *_parse_member_line(line)))
             except FamilyFormatError as err:
                 raise FamilyFormatError(f"line {lineno}: {err}") from None
         if not raw:
@@ -341,6 +314,13 @@ class MonomialFamily(Value):
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(m) for m in self.members) + "}"
+
+
+def pure_powers(var_count: int, d: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of X_0^d, ..., X_(v-1)^d, in that order, for
+    v = ``var_count``."""
+    zeros = (0,) * var_count
+    return [zeros[:i] + (d,) + zeros[i + 1:] for i in range(var_count)]
 
 
 def exponent_vectors_of_degree(

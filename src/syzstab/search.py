@@ -133,7 +133,7 @@ from .criterion import (
     check_efficient,
 )
 from .errors import Error, UnsupportedRangeError
-from .monomial import MonomialFamily, exponent_vectors_of_degree
+from .monomial import MonomialFamily, exponent_vectors_of_degree, pure_powers
 
 DEFAULT_BUDGET = 10**7
 
@@ -206,28 +206,26 @@ class _Space:
         self.N = N
         self.free = _free_monomials(N, d)
         self.index = {v: i for i, v in enumerate(self.free)}
-        self.pure_exps = [
-            tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)
-        ]
+        self.pure_exps = pure_powers(N + 1, d)
         free_count = len(self.free)
         keep = _ROW_BITS // max(free_count, 1) ** 2
         self.perm_count = factorial(N + 1)
         # Lane 0 is the identity's.  It is built only with a kept
         # permutation beside it, since every lane costs about F^2 bits.
         self.lanes = min(keep + 1, self.perm_count) if keep else 0
-        self.block_size = _BLOCK
-        self.block_count = -(-self.lanes // self.block_size)
+        self.block_count = -(-self.lanes // _BLOCK)
         self.width = free_count + 1
         self.blocks: list[tuple[list[int], int, int]] = []
         # Each free monomial's images under the permutations, in the order
         # of permutations(range(N + 1)); each block takes the next ones.
         self._images = [permutations(e) for e in self.free] if self.lanes else []
         self.sums: list[int] = []
-        # The orderly tree's (k, first partition) and held sets, decided on
-        # the first whole partition.
-        self.tree_key: Optional[tuple[int, int]] = None
+        # The orderly tree's first partition and held sets, decided on the
+        # first whole partition.
+        self.tree_from: Optional[int] = None
         self.held: Optional[list] = None
-        self.n, self.d = n, d
+        # Every family holds the pure powers and k chosen free monomials.
+        self.n, self.d, self.k = n, d, n - (N + 1)
         self.ge: Optional[list[list[tuple[int, int]]]] = None
         # Every family's box is d^(N+1), its pure powers putting d on every
         # axis: where _equal_candidates would walk it, one shared table is.
@@ -244,7 +242,7 @@ class _Space:
         permutations pi, ``ones`` a 1 in each lane, ``guards`` the top bit
         of each lane, and ``bias`` is ``guards - ones``.  Block 0 also
         fills ``sums``, the prefix sums of its diffs."""
-        count = min(self.block_size, self.lanes - len(self.blocks) * self.block_size)
+        count = min(_BLOCK, self.lanes - len(self.blocks) * _BLOCK)
         shifts = range(0, count * self.width, self.width)
         ones = sum(map((1).__lshift__, shifts))
         image_index = self.index.__getitem__
@@ -315,11 +313,12 @@ class _Space:
 
     def walk(self, job: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """Yield, in order, the orbit representatives among the families
-        of ``job = (k, partition, skip, limit)``: from offset ``skip`` of
-        the partition, in lexicographic order, ``limit`` families of k
-        chosen free indices, the first of them ``partition``.  The walk
-        is the one the module docstring describes."""
-        k, partition, skip, limit = job
+        of ``job = (partition, skip, limit)``: from offset ``skip`` of the
+        partition, in lexicographic order, ``limit`` families of k chosen
+        free indices, the first of them ``partition``.  The walk is the one
+        the module docstring describes."""
+        partition, skip, limit = job
+        k = self.k
         if k == 0:
             yield ()
             return
@@ -385,27 +384,29 @@ class _Space:
         that asked, D its carried block-0 sum, sorted.  Built on the first
         such job, once per space.  None where the job takes the walk: the
         lanes miss a permutation, the tree was abandoned (``_grow_tree``),
-        or it was built for another k or a later partition."""
-        k, partition, skip, limit = job
+        or it was built for a later partition."""
+        partition, skip, limit = job
+        k = self.k
         if (
             k < 2 or skip or self.lanes != self.perm_count
             or limit != comb(len(self.free) - 1 - partition, k - 1)
         ):
             return None
-        if self.tree_key is None:
-            self.tree_key = (k, partition)
-            self.held = self._grow_tree(k, partition)
-        if self.tree_key[0] != k or partition < self.tree_key[1]:
+        if self.tree_from is None:
+            self.tree_from = partition
+            self.held = self._grow_tree(partition)
+        if partition < self.tree_from:
             return None
         return self.held
 
-    def _grow_tree(self, k: int, partition: int) -> Optional[list]:
+    def _grow_tree(self, partition: int) -> Optional[list]:
         """The sorted level of representatives of k - 1 free indices above
         ``partition``, grown from the empty set a level at a time (module
         docstring).  None if the tree's nodes, at most C(span, k - 1) for
         the span of indices from the partition on, outnumber the
         C(span, k) families it serves by more than min((N+1)!, 24) / 6,
         or if a level passes ``_HELD`` sets."""
+        k = self.k
         span = len(self.free) - partition
         if 6 * comb(span, k - 1) > min(self.perm_count, 24) * comb(span, k):
             return None
@@ -441,7 +442,7 @@ class _Space:
                     yield chosen, carried
 
     def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
-        """Enumerate one partition, ``job = (k, partition, skip, limit)``:
+        """Enumerate one partition, ``job = (partition, skip, limit)``:
         from offset ``skip``, ``limit`` families of k chosen free
         monomials.  A whole partition takes its representatives from the
         orderly tree's held sets where ``held_sets`` gives them, any other
@@ -454,7 +455,7 @@ class _Space:
         if held is None:
             found = self.walk(job)
         else:
-            found = map(itemgetter(0), self.children(held, job[1]))
+            found = map(itemgetter(0), self.children(held, job[0]))
         status = self.status
         orbits = 0
         best_rank, best_key, best = 0, -1, ()
@@ -465,7 +466,7 @@ class _Space:
                 key = sum(1 << c for c in chosen)
                 if rank > best_rank or key > best_key:
                     best_rank, best_key, best = rank, key, chosen
-        families = job[3]
+        families = job[2]
         if not best_rank:
             return families, orbits, (0, None)
         exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
@@ -667,7 +668,7 @@ def exhaustive_search(
             truncated_at = (idx, skip)
             break
         cap = min(size - skip, remaining)
-        plan.append((k, p, skip, cap))
+        plan.append((p, skip, cap))
         remaining -= cap
         if cap < size - skip:
             truncated_at = (idx, skip + cap)
@@ -694,7 +695,7 @@ def exhaustive_search(
                 progress(
                     {
                         "event": "partition",
-                        "partition": job[1],
+                        "partition": job[0],
                         "families": fams,
                         "orbits": orbs,
                         "families_examined": families,

@@ -5,6 +5,12 @@ import pytest
 from syzstab import search
 
 
+def canon_key(monomial):
+    """The canonical member order as a sort key: degree ascending, then
+    exponent vectors descending lexicographically."""
+    return (monomial.degree, tuple(-e for e in monomial.exponents))
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Make a search's process pool run its jobs in this process, in order,

@@ -39,6 +39,8 @@ from syzstab.monomial import (
     exponent_vectors_of_degree,
 )
 
+from conftest import canon_key
+
 
 def _table(family: MonomialFamily):
     return criterion._thresholds([m.exponents for m in family.members])
@@ -226,7 +228,7 @@ def test_gcd_closure_is_exactly_the_subset_gcds(members):
         for k in range(1, fam.n + 1)
         for subset in combinations(fam.members, k)
     }
-    assert gcd_closure(fam) == tuple(sorted(expected, key=Monomial.canon_key))
+    assert gcd_closure(fam) == tuple(sorted(expected, key=canon_key))
 
 
 def test_gcd_closure_capacity(monkeypatch):

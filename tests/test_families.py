@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from math import comb
 from pathlib import Path
 
@@ -8,8 +10,9 @@ import syzstab
 from syzstab import families
 from syzstab.cli import render_triangle
 from syzstab.criterion import Stability, check_brute_force, check_efficient
-from syzstab.errors import InvalidFamilyError, UnsupportedRangeError
+from syzstab.errors import Error, InvalidFamilyError, UnsupportedRangeError
 from syzstab.families import (
+    FamilyRecipe,
     _validated,
     generate,
     generate_P2,
@@ -315,13 +318,52 @@ def test_full_set():
 def test_post_validation_raises_without_asserts():
     # Explicit checks, so that python -O still validates every family.
     cubics = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
-    assert _validated(cubics, 3, 4, 3).n == 4
+    family, recipe = _validated(cubics, 2, 4, 3, "Cubics")
+    assert family.n == 4
+    assert recipe == FamilyRecipe(2, 4, 3, "Cubics", {})
     with pytest.raises(InvalidFamilyError, match="pure power"):
-        _validated([(3, 0, 0), (0, 3, 0), (1, 1, 1)], 3, 3, 3)
+        _validated([(3, 0, 0), (0, 3, 0), (1, 1, 1)], 2, 3, 3, "Cubics")
     with pytest.raises(InvalidFamilyError, match="members"):
-        _validated(cubics, 3, 5, 3)
+        _validated(cubics, 2, 5, 3, "Cubics")
     with pytest.raises(InvalidFamilyError, match="degree"):
-        _validated(cubics + [(2, 0, 0)], 3, 5, 3)
+        _validated(cubics + [(2, 0, 0)], 2, 5, 3, "Cubics")
+
+
+def generator_calls():
+    """Calls of every builder and dispatcher over small ranges: each
+    supported size, the sizes just past them and the full sets."""
+    for N in range(2, 6):
+        for d in range(1, 9):
+            for n in range(1, comb(d + 2, 2) + N + 2):
+                yield generate, N, n, d
+            yield generate, N, comb(d + N, N), d
+    for build in (generate_P31, generate_P32, generate_P33, generate_P34):
+        for d in range(1, 17):
+            for n in range(1, comb(d + 2, 2) + 2):
+                yield build, n, d
+    for N in range(1, 5):
+        for d in range(1, 6):
+            yield generate_full_set, N, d
+            yield generate_pure_powers, N, d
+
+
+def test_generators_give_their_pinned_outputs():
+    # One SHA-256 over the 4,808 calls, in order: each call's family and
+    # recipe as JSON, or its error's type and text.
+    digest = hashlib.sha256()
+    calls = 0
+    for build, *args in generator_calls():
+        calls += 1
+        try:
+            family, recipe = build(*args)
+            text = json.dumps([family.to_json_dict(), recipe.to_json_dict()])
+        except Error as err:
+            text = f"{type(err).__name__}:{err}"
+        digest.update(text.encode())
+    assert calls == 4808
+    assert digest.hexdigest() == (
+        "6a9fcfff61fd42a47934e5d07e2828bb84b879d81348f48ea3ec93ffa2ed2e9f"
+    )
 
 
 def test_corner_fill_without_a_threshold_raises(monkeypatch):

@@ -28,6 +28,8 @@ from syzstab.monomial import (
     exponent_vectors_of_degree,
 )
 
+from conftest import canon_key
+
 
 def test_monomial_basics():
     m = Monomial((5, 0, 3))
@@ -215,6 +217,51 @@ def test_from_text_errors_carry_line_numbers():
         MonomialFamily.from_text("vars=1\nx0^2\n")
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param("# a comment\n", FamilyFormatError, "no monomials found",
+                     id="no-monomials"),
+        pytest.param("x0\nx1 y\n", FamilyFormatError,
+                     "line 2: unrecognized token 'y'", id="unrecognized-token"),
+        pytest.param("x0\n\u00b2 0\n", FamilyFormatError,
+                     "line 2: cannot read number '\u00b2'", id="unreadable-number"),
+        pytest.param(f"x0^{'9' * 5000} x1\n", FamilyFormatError,
+                     "line 1: cannot read number of 5000 digits", id="long-number"),
+        pytest.param("1 0\n1 0 0\n", FamilyFormatError,
+                     "inconsistent exponent vector lengths [2, 3]",
+                     id="inconsistent-lengths"),
+        pytest.param("5\n", FamilyFormatError,
+                     "exponent vectors need at least 2 entries", id="short-vector"),
+        pytest.param("1\n", FamilyFormatError, "cannot infer variable count",
+                     id="no-variable-count"),
+        pytest.param("vars=1000001\nx0\n", FamilyFormatError,
+                     "family too large: 1 members x 1000001 variables exceeds "
+                     "the limit of 1000000 member cells", id="too-many-cells"),
+        pytest.param("vars=3\nx0\n1 0\n", FamilyFormatError,
+                     "line 3: expected 3 exponents, got 2", id="vector-length"),
+        # The first index out of range in token order, not the largest.
+        pytest.param("vars=2\nx0\nx1 x7 x5 x7\n", FamilyFormatError,
+                     "line 3: variable x7 out of range for 2 variables",
+                     id="index-out-of-range"),
+        pytest.param("x0\n1000001 0\n", FamilyFormatError,
+                     "line 2: degree 1000001 exceeds the limit 1000000",
+                     id="degree-over-cap"),
+        pytest.param("x0\nvars=2\n", FamilyFormatError,
+                     "line 2: vars= header must come first", id="late-header"),
+        pytest.param("# a comment\nvars=1\nx0\n", FamilyFormatError,
+                     "line 2: vars= must be at least 2", id="header-below-2"),
+        pytest.param("x0\nx1\nx0\n", DuplicateMemberError, "duplicate member x0",
+                     id="duplicate-member"),
+    ],
+)
+def test_from_text_error_messages(text, error, message):
+    with pytest.raises(error) as err:
+        MonomialFamily.from_text(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_from_text_refuses_more_member_cells_than_the_cap():
     # Checked before any member is built, so no 10^8-entry vector is made.
     for text in ("x99999999\n", "vars=100000000\nx0\nx1\n"):
@@ -254,7 +301,7 @@ def test_exponent_vectors_of_degree():
     for var_count in (2, 3, 4):
         for degree in range(5):
             monos = list(map(Monomial, exponent_vectors_of_degree(var_count, degree)))
-            assert monos == sorted(set(monos), key=Monomial.canon_key)
+            assert monos == sorted(set(monos), key=canon_key)
             assert {m.degree for m in monos} == {degree}
             assert len(monos) == comb(var_count - 1 + degree, degree)
 
@@ -388,7 +435,7 @@ def test_family_order_matches_canon_key_reference(data):
     v = data.draw(st.integers(2, 5))
     vector = st.tuples(*[st.integers(0, 3)] * v)
     members = [Monomial(e) for e in data.draw(st.lists(vector, min_size=1, max_size=30))]
-    reference = sorted(members, key=Monomial.canon_key)
+    reference = sorted(members, key=canon_key)
     repeats = [a for a, b in zip(reference, reference[1:]) if a == b]
     if repeats:
         with pytest.raises(DuplicateMemberError) as err:
@@ -396,7 +443,7 @@ def test_family_order_matches_canon_key_reference(data):
         assert str(err.value) == f"duplicate member {repeats[0]}"
     else:
         family = MonomialFamily(v, tuple(members))
-        assert family.members == tuple(sorted(set(members), key=Monomial.canon_key))
+        assert family.members == tuple(sorted(set(members), key=canon_key))
 
 
 def m_primary_reference(fam):

@@ -317,7 +317,8 @@ def reference_scan(space, job, is_minimal):
     ``combinations`` and ``islice``, tested by ``is_minimal``, and each
     representative's status from ``space.status``.  Return the scan's
     result and the representatives, in order."""
-    k, partition, skip, limit = job
+    partition, skip, limit = job
+    k = space.k
     if k == 0:
         tails = iter([()])
     else:
@@ -392,7 +393,7 @@ def test_walk_matches_the_reference_loop(data):
     size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
     k = data.draw(st.integers(0, free_count), label="k")
     if k == 0:
-        job = (0, -1, 0, 1)
+        job = (-1, 0, 1)
     else:
         partition = data.draw(st.integers(0, free_count - k), label="partition")
         families = comb(free_count - 1 - partition, k - 1)
@@ -401,7 +402,7 @@ def test_walk_matches_the_reference_loop(data):
         skip = data.draw(st.integers(0, min(families, 20_000) - 1), label="skip")
         whole = families - skip
         limit = data.draw(st.sampled_from([whole, data.draw(st.integers(1, whole))]))
-        job = (k, partition, skip, min(limit, 40))
+        job = (partition, skip, min(limit, 40))
     with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
         space = search._Space(N, d, N + 1 + k)
         checked = []
@@ -453,7 +454,7 @@ def test_tree_matches_the_walk_on_whole_partitions(data):
         [k for k in range(1, free_count + 1) if comb(free_count, k) <= 20_000]
     ), label="k")
     jobs = [
-        (k, p, 0, comb(free_count - 1 - p, k - 1))
+        (p, 0, comb(free_count - 1 - p, k - 1))
         for p in range(free_count - k + 1)
     ]
     with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
