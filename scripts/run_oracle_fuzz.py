@@ -15,10 +15,12 @@ from math import comb
 from syzstab import criterion
 from syzstab.criterion import (
     Stability,
+    StabilityVerdict,
     check_brute_force,
     check_efficient,
     verify_verdict,
 )
+from syzstab.errors import InvalidVerdictError
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 
 
@@ -52,6 +54,28 @@ def random_family(
             return family
 
 
+def disagreement(family: MonomialFamily) -> tuple[StabilityVerdict, str | None]:
+    """The oracle's verdict on ``family``, and what is wrong with it or with
+    the candidate-gcd checker's: None when the default path and the forced
+    closed-cell scan give the oracle's whole verdict, witness included, and
+    that witness re-validates through verify_verdict."""
+    slow = check_brute_force(family)
+    fast = check_efficient(family)
+    grid_limit = criterion.GRID_LIMIT
+    criterion.GRID_LIMIT = 0  # no lattice scan: force the closed-cell scan
+    try:
+        closure = check_efficient(family)
+    finally:
+        criterion.GRID_LIMIT = grid_limit
+    if not slow == fast == closure:
+        return slow, f"brute:   {slow}\n  default: {fast}\n  closure: {closure}"
+    try:
+        verify_verdict(family, slow)
+    except InvalidVerdictError as err:
+        return slow, f"witness does not re-validate: {err}"
+    return slow, None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=10_000)
@@ -77,25 +101,16 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
 
     counts = {status: 0 for status in Stability}
-    grid_limit = criterion.GRID_LIMIT
     for index in range(args.samples):
         family = random_family(rng, args.max_dim, args.max_degree, args.max_size)
-        slow = check_brute_force(family)
-        fast = check_efficient(family)
-        criterion.GRID_LIMIT = 0  # no lattice scan: force the closed-cell scan
-        try:
-            closure = check_efficient(family)
-        finally:
-            criterion.GRID_LIMIT = grid_limit
-        if not slow == fast == closure:
+        verdict, problem = disagreement(family)
+        if problem is not None:
             print(
-                f"MISMATCH at sample {index}:\n  brute:   {slow}\n"
-                f"  default: {fast}\n  closure: {closure}\n{family.to_text()}",
+                f"MISMATCH at sample {index}:\n  {problem}\n{family.to_text()}",
                 file=sys.stderr,
             )
             return 1
-        verify_verdict(family, slow)
-        counts[fast.status] += 1
+        counts[verdict.status] += 1
         if (index + 1) % 1000 == 0:
             print(f"{index + 1}/{args.samples} checked")
 

@@ -22,6 +22,7 @@ for callers; the builder functions carry the descriptive names.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterable
 
 from ._value import Value
 from .errors import InvalidFamilyError, UnsupportedRangeError
@@ -87,117 +88,82 @@ def _validated(
 
 # -- catalog: plane families of size 3..18 ------------------------------
 
+#: Hand-placed members of the catalog families at these (n, d), beside the
+#: pure powers.
+_TUNED = {
+    (9, 8): [(3, 3, 2), (6, 2, 0), (2, 0, 6), (5, 0, 3), (0, 6, 2), (0, 3, 5)],
+    (10, 9): [
+        (3, 3, 3), (6, 3, 0), (3, 6, 0),
+        (6, 0, 3), (3, 0, 6), (0, 6, 3), (0, 3, 6),
+    ],
+    (11, 12): [
+        (9, 3, 0), (6, 6, 0), (3, 9, 0),
+        (9, 0, 3), (6, 0, 6), (3, 0, 9),
+        (0, 9, 3), (0, 6, 6),
+    ],
+    (12, 11): [
+        (8, 3, 0), (8, 0, 3), (5, 2, 4), (4, 4, 3),
+        (3, 8, 0), (3, 0, 8), (2, 5, 4), (0, 8, 3), (0, 3, 8),
+    ],
+}
+
+
+def _edges(
+    d: int, a: Iterable[int], b: Iterable[int], c: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """Members on the edges of the degree-d triangle: X0^i X1^(d-i) for
+    each i in a, then X0^i X2^(d-i) for each i in b, then X1^i X2^(d-i)
+    for each i in c."""
+    return (
+        [(i, d - i, 0) for i in a]
+        + [(i, 0, d - i) for i in b]
+        + [(0, i, d - i) for i in c]
+    )
+
+
 def _catalog_members(n: int, d: int) -> tuple[list[tuple[int, ...]], dict]:
     """Member list and parameter record for the size-3..18 catalog."""
-    e0, e1, e2 = _balanced_triple(d)
     out = pure_powers(3, d)
+    tuned = _TUNED.get((n, d))
+    if tuned is not None:
+        return out + tuned, {"tuned": True}
+    e = e0, e1, e2 = _balanced_triple(d)
 
     if n == 3:
         return out, {}
     if n == 4:
-        return out + [(e0, e1, e2)], {"e": (e0, e1, e2)}
+        return out + [e], {"e": e}
     if n == 5:
         i = -(-d // 2)
-        return out + [(e0, e1, e2), (0, d - i, i)], {"e": (e0, e1, e2), "i": i}
+        return out + [e, (0, d - i, i)], {"e": e, "i": i}
     if n == 6:
-        return (
-            out + [(e0, d - e0, 0), (d - e0, 0, e0), (0, e0, d - e0)],
-            {"e0": e0},
-        )
+        return out + _edges(d, [e0], [d - e0], [e0]), {"e0": e0}
     if n == 7:
-        return (
-            out
-            + [(e0, e1, e2), (e0, d - e0, 0), (d - e0, 0, e0), (0, e0, d - e0)],
-            {"e": (e0, e1, e2)},
-        )
+        return out + [e] + _edges(d, [e0], [d - e0], [e0]), {"e": e}
     if n == 8:
-        return (
-            out
-            + [
-                (e0, e1, e2),
-                (e0 + e1, e2, 0),
-                (e2, 0, e0 + e1),
-                (0, e0 + e1, e2),
-                (0, e0, e1 + e2),
-            ],
-            {"e": (e0, e1, e2)},
-        )
+        return out + [e] + _edges(d, [e0 + e1], [e2], [e0 + e1, e0]), {"e": e}
     if n == 9:
-        if d == 8:
-            extra = [
-                (3, 3, 2), (6, 2, 0), (2, 0, 6), (5, 0, 3), (0, 6, 2), (0, 3, 5),
-            ]
-            return out + extra, {"tuned": True}
-        (i1, i2), m, t = _level_cuts(d, 3, 2)
-        extra = [
-            (i1, d - i1, 0), (i2, d - i2, 0),
-            (d - i1, 0, i1), (d - i2, 0, i2),
-            (0, i1, d - i1), (0, i2, d - i2),
-        ]
-        return out + extra, {"m": m, "t": t, "levels": (i1, i2)}
-    if n == 10:
-        if d == 9:
-            extra = [
-                (3, 3, 3), (6, 3, 0), (3, 6, 0),
-                (6, 0, 3), (3, 0, 6), (0, 6, 3), (0, 3, 6),
-            ]
-            return out + extra, {"tuned": True}
-        (i1, i2, i3, i4), m, t = _level_cuts(d, 5, 4)
-        extra = [
-            (i2, i1, d - i1 - i2),
-            (i4, d - i4, 0), (i2, d - i2, 0),
-            (i3, 0, d - i3), (i1, 0, d - i1),
-            (0, i2, d - i2), (0, i4, d - i4),
-        ]
-        return out + extra, {"m": m, "t": t, "levels": (i1, i2, i3, i4)}
-    if n == 11:
-        if d == 12:
-            extra = [
-                (9, 3, 0), (6, 6, 0), (3, 9, 0),
-                (9, 0, 3), (6, 0, 6), (3, 0, 9),
-                (0, 9, 3), (0, 6, 6),
-            ]
-            return out + extra, {"tuned": True}
-        (i1, i2, i3, i4), m, t = _level_cuts(d, 5, 4)
-        extra = [
-            (i2, i1, d - i1 - i2),
-            (i4, d - i4, 0), (i3, d - i3, 0), (i2, d - i2, 0),
-            (i3, 0, d - i3), (i1, 0, d - i1),
-            (0, i2, d - i2), (0, i4, d - i4),
-        ]
-        return out + extra, {"m": m, "t": t, "levels": (i1, i2, i3, i4)}
-    if n == 12 and d == 11:
-        extra = [
-            (8, 3, 0), (8, 0, 3), (5, 2, 4), (4, 4, 3),
-            (3, 8, 0), (3, 0, 8), (2, 5, 4), (0, 8, 3), (0, 3, 8),
-        ]
-        return out + extra, {"tuned": True}
-    if 12 <= n <= 15:
-        (i1, i2, i3), m, t = _level_cuts(d, 4, 3)
-        mixed = [
-            (i2, d - i3, i3 - i2),
-            (i1, d - i2, i2 - i1),
-            (i1, d - i3, i3 - i1),
-        ][: n - 12]
-        edges = [
-            (i3, d - i3, 0), (i2, d - i2, 0), (i1, d - i1, 0),
-            (i3, 0, d - i3), (i2, 0, d - i2), (i1, 0, d - i1),
-            (0, i1, d - i1), (0, i2, d - i2), (0, i3, d - i3),
-        ]
-        return out + mixed + edges, {"m": m, "t": t, "levels": (i1, i2, i3)}
-    if 16 <= n <= 18:
-        (i1, i2, i3, i4), m, t = _level_cuts(d, 5, 4)
-        mixed = [
-            (i2, d - i3, i3 - i2),
-            (i2, d - i4, i4 - i2),
-            (i1, d - i3, i3 - i1),
-        ][: n - 15]
-        edges = [
-            (i4, d - i4, 0), (i3, d - i3, 0), (i2, d - i2, 0), (i1, d - i1, 0),
-            (i4, 0, d - i4), (i3, 0, d - i3), (i2, 0, d - i2), (i1, 0, d - i1),
-            (0, i1, d - i1), (0, i2, d - i2), (0, i3, d - i3), (0, i4, d - i4),
-        ]
-        return out + mixed + edges, {"m": m, "t": t, "levels": (i1, i2, i3, i4)}
+        levels, m, t = _level_cuts(d, 3, 2)
+        extra = _edges(d, levels, [d - i for i in levels], levels)
+        return out + extra, {"m": m, "t": t, "levels": levels}
+    if n in (10, 11):
+        levels, m, t = _level_cuts(d, 5, 4)
+        i1, i2, i3, i4 = levels
+        extra = [(i2, i1, d - i1 - i2)]
+        extra += _edges(d, (i4, i2, i3)[: n - 8], (i3, i1), (i2, i4))
+        return out + extra, {"m": m, "t": t, "levels": levels}
+    if 12 <= n <= CATALOG_MAX_SIZE:
+        # The pure powers and every level on every edge make 3 * parts
+        # members; the first n - 3 * parts inner members
+        # X0^i_a X1^(d-i_b) X2^(i_b-i_a), for the level pairs (a, b), make
+        # the rest.
+        parts = 4 if n <= 15 else 5
+        levels, m, t = _level_cuts(d, parts, parts - 1)
+        i = (0,) + levels  # i[l] is cut l, with i[0] = 0
+        pairs = ((2, 3), (1, 2), (1, 3)) if parts == 4 else ((2, 3), (2, 4), (1, 3))
+        inner = [(i[a], d - i[b], i[b] - i[a]) for a, b in pairs[: n - 3 * parts]]
+        extra = inner + _edges(d, levels, levels, levels)
+        return out + extra, {"m": m, "t": t, "levels": levels}
     raise AssertionError(f"catalog has no entry for n={n}")
 
 

@@ -85,8 +85,13 @@ class Monomial(Value):
     def parse(cls, text: str, var_count: int | None = None) -> Monomial:
         """Parse a single monomial, either compact (``x0^5 x2^3``) or as a
         bare exponent vector (``5 0 3``), as the one member line of a family:
-        the variable count is inferred and capped as in ``from_text``."""
-        return _build_members([(1, _parse_member_line(text))], var_count)[0]
+        the variable count is inferred and capped as in ``from_text``, and
+        a failure of the line names it as line 1."""
+        try:
+            parsed = _parse_member_line(text)
+        except FamilyFormatError as err:
+            raise FamilyFormatError(f"line 1: {err}") from None
+        return _build_members([(1, parsed)], var_count)[0]
 
     def __str__(self) -> str:
         if self.is_unit:

@@ -1,8 +1,21 @@
 import concurrent.futures
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from syzstab import search
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """The script ``scripts/<name>.py`` as a module, to call its functions
+    in process."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def canon_key(monomial):

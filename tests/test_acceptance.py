@@ -1,22 +1,17 @@
 import hashlib
-import importlib.util
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 import pytest
 
-from syzstab import criterion
 from syzstab.criterion import (
     Stability,
     a_seq,
-    check_brute_force,
     check_efficient,
     equal_degree_margin,
-    verify_verdict,
 )
 from syzstab.errors import ExcludedCaseError
 from syzstab.families import generate, generate_P2
@@ -24,17 +19,17 @@ from syzstab.moduli import cohomology_table, moduli_dimension
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 from syzstab.search import NONE_SEMISTABLE, exhaustive_search
 
+from conftest import load_script
+
 RANDOM_SEED = 20260825
 # SHA-256 of the to_text() of the 10,000 seeded random families of test 1.
 RANDOM_FAMILIES_SHA256 = (
     "eb1aa5142d1088d8922eb1fd4a40e125fb9921693a1bf3161bb4ace7e0b02680"
 )
 
-# The fuzzing script's random_family draws acceptance test 1's families.
-_FUZZ = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_fuzz.py"
-_spec = importlib.util.spec_from_file_location("run_oracle_fuzz", _FUZZ)
-run_oracle_fuzz = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_oracle_fuzz)
+# The fuzzing script draws acceptance test 1's random families and holds its
+# per-family check.
+run_oracle_fuzz = load_script("run_oracle_fuzz")
 
 
 def all_plane_m_primary_families(d_max, n_max):
@@ -56,15 +51,10 @@ def test_subset_oracle_and_divisor_scan_agree_everywhere():
     # Exhaustive over small plane families, then a large seeded random
     # sample including mixed degrees and up to four variables.  Whole
     # verdicts must agree, witness included, on the default path and on
-    # the forced closed-cell scan.
+    # the forced closed-cell scan, and the witness must re-validate.
     def agree(family):
-        slow = check_brute_force(family)
-        fast = check_efficient(family)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(criterion, "GRID_LIMIT", 0)
-            closure = check_efficient(family)
-        assert slow == fast == closure, family.to_text()
-        verify_verdict(family, slow)
+        _, problem = run_oracle_fuzz.disagreement(family)
+        assert problem is None, f"{problem}\n{family.to_text()}"
 
     count = 0
     for family in all_plane_m_primary_families(d_max=4, n_max=7):

@@ -122,6 +122,30 @@ def test_parse_and_str_forms():
             Monomial.parse(text)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("",), "line 1: empty monomial"),
+        (("y^2", 3), "line 1: unrecognized token 'y^2'"),
+        (("² 0",), "line 1: cannot read number '²'"),
+        (("x9^2", 3), "line 1: variable x9 out of range for 3 variables"),
+        # Failures of the inferred variable count name no line, as in
+        # from_text, where they concern every line at once.
+        (("5",), "exponent vectors need at least 2 entries"),
+        (("1",), "cannot infer variable count"),
+    ],
+)
+def test_parse_errors_name_the_line_as_from_text_does(args, message):
+    with pytest.raises(FamilyFormatError) as info:
+        Monomial.parse(*args)
+    assert str(info.value) == message
+    # A family of that one line fails alike, but an empty text has no line.
+    if len(args) == 1 and args[0]:
+        with pytest.raises(FamilyFormatError) as info:
+            MonomialFamily.from_text(args[0])
+        assert str(info.value) == message
+
+
 # Parses a huge inferred and a huge pinned variable count in a child
 # process with a 512 MB address-space limit and reports how each was refused.
 PARSE_PROBE = """

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import os
 import subprocess
@@ -12,27 +11,20 @@ from hypothesis import strategies as st
 
 import syzstab
 from syzstab import criterion, search
+from syzstab.criterion import Stability, StabilityVerdict, SubsetWitness
+from syzstab.monomial import MonomialFamily
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import SCRIPTS, load_script
 
 
 def run_script(name, *args):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(syzstab.__file__).parents[1])},
     )
-
-
-def load_script(name):
-    """The script ``scripts/<name>.py`` as a module, to call its ``main``
-    in process."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_sweep_script_checks_every_cell():
@@ -116,6 +108,60 @@ def test_oracle_fuzz_script_draws_from_a_small_space(capsys):
         "unstable: 0",
         "all verdicts agree; all witnesses re-validate",
     ]
+
+
+# x0^5, x1^5, x2^5, x0^4 x1: the pair {x0^5, x0^4 x1} has quotient -6,
+# above the slope -20/3.
+UNSTABLE = MonomialFamily.of([(5, 0, 0), (0, 5, 0), (0, 0, 5), (4, 1, 0)])
+
+
+def _stable(verdict):
+    return StabilityVerdict(Stability.STABLE, verdict.family_slope)
+
+
+def _quotient_off_by_one(verdict):
+    w = verdict.violation
+    broken = SubsetWitness(w.indices, w.gcd, w.size, w.quotient + 1, w.family_slope)
+    return StabilityVerdict(verdict.status, verdict.family_slope, broken)
+
+
+@pytest.mark.parametrize(
+    "checks, spoil, problem",
+    [
+        # The candidate-gcd checker calls an unstable family stable.
+        (
+            ("check_efficient",), _stable,
+            "brute:   StabilityVerdict(status=<Stability.UNSTABLE: 'unstable'>",
+        ),
+        # Every checker agrees on a violation that does not recompute.
+        (
+            ("check_brute_force", "check_efficient"), _quotient_off_by_one,
+            "witness does not re-validate: violation on [0, 1] does not "
+            "recompute: gcd x0^4, quotient -6",
+        ),
+    ],
+)
+def test_oracle_fuzz_reports_a_disagreement(
+    checks, spoil, problem, monkeypatch, capsys
+):
+    # The fuzz's one per-family check, which acceptance test 1 runs too,
+    # passes the real checkers and reports each injected fault: a verdict
+    # that differs, or a witness that does not re-validate, in which case
+    # main stops with exit code 1 instead of a traceback.
+    fuzz = load_script("run_oracle_fuzz")
+    verdict, found = fuzz.disagreement(UNSTABLE)
+    assert (verdict.status, found) == (Stability.UNSTABLE, None)
+    for name in checks:
+        check = getattr(fuzz, name)
+        monkeypatch.setattr(fuzz, name, lambda fam, check=check: spoil(check(fam)))
+    verdict, found = fuzz.disagreement(UNSTABLE)
+    assert verdict.status is Stability.UNSTABLE
+    assert found.startswith(problem)
+    monkeypatch.setattr(fuzz, "random_family", lambda *args: UNSTABLE)
+    assert fuzz.main(["--samples", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr() == (
+        "seed: 1\n", f"MISMATCH at sample 0:\n  {found}\n{UNSTABLE.to_text()}\n"
+    )
 
 
 def test_search_digest_is_unchanged():
