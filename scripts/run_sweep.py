@@ -2,8 +2,10 @@
 """Sweep the constructions: for each number of variables N+1 and degree d,
 build the family of every supported size through ``generate`` (every plane
 size for N = 2; N+1 up to (d+2)(d+1)/2 + N - 2 plus the full monomial set
-above), check it, and flag any deviation from the expected verdict (stable
-everywhere except the lone semistable-only case (N, n, d) = (2, 5, 2))."""
+above), check it, and flag a family of the wrong size, degree or pure
+powers, and any deviation from the expected verdict (stable everywhere
+except the lone semistable-only case (N, n, d) = (2, 5, 2)).  Acceptance
+tests 3 and 4 take their expected verdicts from ``sweep_cell``."""
 
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from syzstab.families import generate
 
 
 def sweep_cell(cell: tuple[int, int]) -> tuple[int, int, int, list[str]]:
-    """Check all supported sizes for one (N, d)."""
+    """Check all supported sizes for one (N, d): each family must have n
+    members, all of degree d, among them every pure power, and the
+    expected verdict."""
     N, d = cell
     problems = []
     sizes = list(range(N + 1, comb(d + 2, 2) + N - 2 + 1))
@@ -29,14 +33,20 @@ def sweep_cell(cell: tuple[int, int]) -> tuple[int, int, int, list[str]]:
         sizes.append(full)
     for n in sizes:
         family, recipe = generate(N, n, d)
+        where = f"(N={N}, n={n}, d={d}) [{recipe.source}]"
+        if family.degrees != (d,) * n or not family.is_m_primary():
+            problems.append(
+                f"{where}: expected {n} members of degree {d} with every pure "
+                f"power, got {family}"
+            )
+            continue
         verdict = check_efficient(family)
         expected = (
             Stability.SEMISTABLE_ONLY if (N, n, d) == (2, 5, 2) else Stability.STABLE
         )
         if verdict.status is not expected:
             problems.append(
-                f"(N={N}, n={n}, d={d}) [{recipe.source}]: expected "
-                f"{expected.value}, got {verdict.status.value}"
+                f"{where}: expected {expected.value}, got {verdict.status.value}"
             )
     return N, d, len(sizes), problems
 

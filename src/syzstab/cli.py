@@ -24,7 +24,7 @@ from .errors import (
 # process loads only those.  The names below are for annotations only.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .criterion import StabilityVerdict, SubsetWitness
+    from .criterion import StabilityVerdict
     from .monomial import MonomialFamily
 
 SCHEMA_VERSION = 1
@@ -103,31 +103,28 @@ def _load_family(path: str | None, inline: str | None) -> MonomialFamily:
     return MonomialFamily.from_text(text)
 
 
-def _witness_text(
-    family: MonomialFamily, label: str, witness: SubsetWitness
-) -> str:
-    monomials = ", ".join(str(family.members[i]) for i in witness.indices)
-    relation = ">" if label == "violation" else "="
-    return (
-        f"{label}: indices {list(witness.indices)} = {{{monomials}}}; "
-        f"gcd {witness.gcd}; quotient {witness.quotient} {relation} "
-        f"slope {witness.family_slope}"
-    )
-
-
 def _print_verdict(family: MonomialFamily, verdict: StabilityVerdict) -> None:
     print(f"status: {verdict.status.value}")
     print(f"slope: {verdict.family_slope}")
-    if verdict.violation is not None:
-        print(_witness_text(family, "violation", verdict.violation))
-    if verdict.equality_witness is not None:
-        print(_witness_text(family, "equality", verdict.equality_witness))
+    for witness, label, relation in (
+        (verdict.violation, "violation", ">"),
+        (verdict.equality_witness, "equality", "="),
+    ):
+        if witness is not None:
+            monomials = ", ".join(str(family.members[i]) for i in witness.indices)
+            print(
+                f"{label}: indices {list(witness.indices)} = {{{monomials}}}; "
+                f"gcd {witness.gcd}; quotient {witness.quotient} {relation} "
+                f"slope {witness.family_slope}"
+            )
 
 
 def _emit_json(payload: dict) -> None:
+    """Print one JSON line and flush it, so that a search's progress
+    records stream as its partitions finish."""
     import json
 
-    print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}), flush=True)
 
 
 # -- subcommands --------------------------------------------------------
@@ -191,20 +188,16 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     from .search import exhaustive_search
 
-    def emit(record: dict) -> None:
-        _emit_json(record)
-        sys.stdout.flush()
-
     report = exhaustive_search(
         args.N,
         args.d,
         args.n,
         budget=args.budget,
-        progress=emit,
+        progress=_emit_json,
         resume_token=args.resume,
         jobs=args.jobs,
     )
-    emit({"event": "result", **report.to_json_dict()})
+    _emit_json({"event": "result", **report.to_json_dict()})
     return 0
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb, inf, prod
+from operator import index
 
 from ._value import Value, json_form
 from .errors import (
@@ -126,10 +127,10 @@ class StabilityVerdict(Value):
             "family_slope": json_form(self.family_slope),
             "criterion_value_only": self.criterion_value_only,
         }
-        if self.violation is not None:
-            out["violation"] = self.violation.to_json_dict()
-        if self.equality_witness is not None:
-            out["equality_witness"] = self.equality_witness.to_json_dict()
+        for key in ("violation", "equality_witness"):
+            witness = getattr(self, key)
+            if witness is not None:
+                out[key] = witness.to_json_dict()
         return out
 
 
@@ -148,8 +149,13 @@ def subset_quotient(
     """Evaluate one subset exactly: its gcd and the quotient the criterion
     compares against the family slope, read off the chosen members'
     exponent tuples.  Accepts the full index set too, so witnesses can be
-    re-validated independently of how they were found."""
-    idx = tuple(indices)
+    re-validated independently of how they were found.  Indices are read
+    through ``operator.index``, as ``Monomial`` reads exponents."""
+    raw = tuple(indices)
+    try:
+        idx = tuple(map(index, raw))
+    except TypeError:
+        raise InvalidFamilyError(f"indices {raw} are not all integers") from None
     if len(idx) < 2:
         raise InvalidFamilyError("a subset needs at least two members")
     if len(set(idx)) != len(idx):
@@ -209,16 +215,19 @@ def _validate_for_check(family: MonomialFamily) -> Fraction:
 def _verdict(
     family: MonomialFamily,
     slope: Fraction,
-    quotient: Fraction | None = None,
+    num: int = 0,
+    den: int = 0,
     indices: tuple[int, ...] = (),
 ) -> StabilityVerdict:
-    """Package a checker's maximizing subset into a verdict: stable when
-    there is none or its quotient is below the slope, semistable-only on
-    the slope, unstable above it.  The witness gcd is the componentwise
-    minimum of the subset's exponents."""
+    """Package a checker's maximizing subset ``indices``, of quotient
+    ``num / den``, into a verdict: stable when there is none (``den`` 0)
+    or its quotient is below the slope, semistable-only on the slope,
+    unstable above it.  Only a witness builds its ``Fraction`` and its
+    gcd, the componentwise minimum of the subset's exponents."""
     flag = not family.is_m_primary()
-    if quotient is None or quotient < slope:
+    if not den or num * slope.denominator < slope.numerator * den:
         return StabilityVerdict(Stability.STABLE, slope, criterion_value_only=flag)
+    quotient = Fraction(num, den)
     exps = (family.members[i].exponents for i in indices)
     witness = SubsetWitness(
         indices=indices,
@@ -327,9 +336,7 @@ def check_brute_force(family: MonomialFamily) -> StabilityVerdict:
         visit(i + 1, g, deg_sum)
 
     visit(0, tuple(map(max, *exps)), 0)
-    if not best_den:
-        return _verdict(family, slope)
-    return _verdict(family, slope, Fraction(best_num, best_den), best_idx)
+    return _verdict(family, slope, best_num, best_den, best_idx)
 
 
 def _thresholds(vectors) -> list[list[tuple[int, int]]]:
@@ -538,19 +545,17 @@ def check_efficient(family: MonomialFamily) -> StabilityVerdict:
         candidates = _equal_candidates(table, family.n, family.degrees[0])
     else:
         candidates = _mixed_candidates(family, slope, table)
-    # A candidate mask is never 0, so 0 stands for none yet; ties keep the
-    # witness rule's first mask as they arrive.
-    best_num, best_den, best = 0, 1, 0
+    # As in check_brute_force, -1 / 0 stands below every quotient; ties
+    # keep the witness rule's first mask as they arrive.
+    best_num, best_den, best = -1, 0, 0
     for num, den, mask in candidates:
         cross = num * best_den - best_num * den
-        if not best or cross > 0:
+        if cross > 0:
             best_num, best_den, best = num, den, mask
         elif cross == 0:
             best = _first_mask(best, mask)
-    if not best:
-        return _verdict(family, slope)
     indices = tuple(i for i in range(best.bit_length()) if best >> i & 1)
-    return _verdict(family, slope, Fraction(best_num, best_den), indices)
+    return _verdict(family, slope, best_num, best_den, indices)
 
 
 def _first_mask(first: int, mask: int) -> int:

@@ -235,9 +235,7 @@ class MonomialFamily(Value):
         monos = [
             m if isinstance(m, Monomial) else Monomial(tuple(m)) for m in members
         ]
-        if var_count is None:
-            if not monos:
-                raise FamilyFormatError("a family needs at least one member")
+        if var_count is None and monos:
             var_count = monos[0].var_count
         return cls(var_count, tuple(monos))
 

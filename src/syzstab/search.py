@@ -510,9 +510,10 @@ def _scan_in_worker(job: tuple[int, ...]) -> tuple[int, int, tuple]:
 
 def _partition(free_count: int, k: int, idx: int) -> tuple[int, int]:
     """(partition, family count) at index idx of the partition plan.
-    Partition p holds the subsets whose smallest free index is p, so there
-    are ``free_count`` of them; with no free member to choose there is one,
-    partition -1, of one family."""
+    Partition p holds the subsets whose smallest free index is p, so the
+    ``free_count - k + 1`` partitions p <= free_count - k hold a family;
+    with no free member to choose there is one, partition -1, of one
+    family."""
     if k == 0:
         return -1, 1
     return idx, comb(free_count - 1 - idx, k - 1)
@@ -644,9 +645,9 @@ def exhaustive_search(
         )
 
     # Every monomial of degree d but the N+1 pure powers is free; k of them
-    # are chosen.
+    # are chosen.  Only the partitions that hold a family are counted.
     free_count, k = monomials - (N + 1), n - (N + 1)
-    part_count = free_count if k > 0 else int(k == 0)
+    part_count = free_count - k + 1 if k > 0 else int(k == 0)
     families, orbits, best = 0, 0, (0, None)
     start_partition, start_offset = 0, 0
     if resume_token is not None:
@@ -662,8 +663,6 @@ def exhaustive_search(
     for idx in range(start_partition, part_count):
         p, size = _partition(free_count, k, idx)
         skip = start_offset if idx == start_partition else 0
-        if size <= skip:
-            continue
         if remaining <= 0:
             truncated_at = (idx, skip)
             break

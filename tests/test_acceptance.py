@@ -14,7 +14,6 @@ from syzstab.criterion import (
     equal_degree_margin,
 )
 from syzstab.errors import ExcludedCaseError
-from syzstab.families import generate, generate_P2
 from syzstab.moduli import cohomology_table, moduli_dimension
 from syzstab.monomial import MonomialFamily, exponent_vectors_of_degree
 from syzstab.search import NONE_SEMISTABLE, exhaustive_search
@@ -28,8 +27,9 @@ RANDOM_FAMILIES_SHA256 = (
 )
 
 # The fuzzing script draws acceptance test 1's random families and holds its
-# per-family check.
+# per-family check; the sweep script holds tests 3 and 4's expected verdicts.
 run_oracle_fuzz = load_script("run_oracle_fuzz")
+run_sweep = load_script("run_sweep")
 
 
 def all_plane_m_primary_families(d_max, n_max):
@@ -92,35 +92,24 @@ def test_exact_fixture_verdicts():
 
 
 def test_plane_constructions_stable_at_every_size():
-    failures = []
+    # Every plane size n = 3..C(d+2, 2), each family of n members of degree
+    # d with every pure power, stable except exactly (n, d) = (5, 2).
+    total, failures = 0, []
     for d in range(2, 21):
-        for n in range(3, comb(d + 2, 2) + 1):
-            family, recipe = generate_P2(n, d)
-            assert family.n == n
-            assert family.degrees == (d,) * n
-            assert family.is_m_primary()
-            status = check_efficient(family).status
-            expected = (
-                Stability.SEMISTABLE_ONLY
-                if (n, d) == (5, 2)
-                else Stability.STABLE
-            )
-            if status is not expected:
-                failures.append((n, d, recipe.source, status.value))
+        _, _, count, problems = run_sweep.sweep_cell((2, d))
+        total += count
+        failures += problems
     assert not failures, failures
+    assert total == sum(comb(d + 2, 2) - 2 for d in range(2, 21))
 
 
 def test_higher_dimension_constructions_stable_at_every_size():
+    # Sizes N+1..C(d+2, 2)+N-2 and the full monomial set, each family of n
+    # members of degree d with every pure power, all stable.
     failures = []
     for N in (3, 4, 5):
         for d in range(1, 9):
-            for n in range(N + 1, comb(d + 2, 2) + N - 2 + 1):
-                family, recipe = generate(N, n, d)
-                assert family.n == n
-                assert family.is_m_primary()
-                status = check_efficient(family).status
-                if status is not Stability.STABLE:
-                    failures.append((N, n, d, recipe.source, status.value))
+            failures += run_sweep.sweep_cell((N, d))[3]
     assert not failures, failures
 
 

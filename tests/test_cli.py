@@ -601,6 +601,16 @@ def test_render_rejects_other_dimensions(tmp_path, capsys):
     assert cli.main(["render", str(path)]) == 1
 
 
+def test_render_rejects_mixed_degrees(tmp_path, capsys):
+    path = write(tmp_path, "x0^2\nx1\nx2^2\n")
+    assert cli.main(["render", path]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: triangle rendering needs all members of one degree, got "
+        "degrees [1, 2]\n",
+    )
+
+
 def test_render_json(tmp_path, capsys):
     path = tmp_path / "fam.txt"
     path.write_text(SEMISTABLE_TEXT)

@@ -81,6 +81,13 @@ def test_subset_quotient_witness_fields():
     assert w.quotient == Fraction(-6)
     assert w.family_slope == Fraction(-20, 3)
     assert w.quotient > w.family_slope
+    # Integer-like indices are stored as ints, so the JSON holds no bools.
+    np = pytest.importorskip("numpy")
+    for indices in ((0, True), (np.int64(0), np.uint8(1))):
+        again = subset_quotient(UNSTABLE_QUINTIC, indices)
+        assert again == w
+        assert all(type(i) is int for i in again.indices)
+        assert json.dumps(again.to_json_dict()["indices"]) == "[0, 1]"
 
 
 def test_subset_quotient_accepts_full_index_set():
@@ -98,6 +105,23 @@ def test_subset_quotient_index_validation():
         subset_quotient(STABLE_QUINTIC, (0, 4))
     with pytest.raises(InvalidFamilyError):
         subset_quotient(STABLE_QUINTIC, (-1, 0))
+
+
+@pytest.mark.parametrize("indices", [(0, 1.0), (0, "1"), (0, None)])
+def test_subset_quotient_refuses_non_integer_indices(indices):
+    # Indices go through operator.index, as Monomial's exponents do, so a
+    # witness holding such an index fails verify_verdict's own error.
+    with pytest.raises(InvalidFamilyError) as info:
+        subset_quotient(UNSTABLE_QUINTIC, indices)
+    assert str(info.value) == f"indices {indices} are not all integers"
+    verdict = check_efficient(UNSTABLE_QUINTIC)
+    w = verdict.violation
+    broken = SubsetWitness(indices, w.gcd, w.size, w.quotient, w.family_slope)
+    with pytest.raises(InvalidVerdictError, match="^violation is not a subset: indices"):
+        verify_verdict(
+            UNSTABLE_QUINTIC,
+            StabilityVerdict(verdict.status, verdict.family_slope, broken),
+        )
 
 
 def test_equal_degree_margin_values():

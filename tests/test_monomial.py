@@ -191,8 +191,14 @@ def test_family_sorts_canonically():
 
 
 def test_family_rejects_bad_input():
-    with pytest.raises(FamilyFormatError):
-        MonomialFamily.of([])
+    # Every way to an empty family ends in the constructor's one check.
+    for empty in (
+        lambda: MonomialFamily.of([]),
+        lambda: MonomialFamily.of([], var_count=2),
+        lambda: MonomialFamily(3, ()),
+    ):
+        with pytest.raises(FamilyFormatError, match="^a family needs at least one member$"):
+            empty()
     with pytest.raises(DuplicateMemberError):
         MonomialFamily.of([(1, 2), (1, 2)])
     with pytest.raises(MismatchedVariablesError):
@@ -301,6 +307,7 @@ def test_text_round_trip():
     fam = MonomialFamily.of([(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 2, 1)])
     assert MonomialFamily.from_text(fam.to_text()) == fam
     assert fam.to_text().startswith("vars=3\n")
+    assert str(MonomialFamily.of([(1, 0), (0, 1)])) == "{x0, x1}"
 
 
 def test_family_to_json_dict():

@@ -40,6 +40,31 @@ def test_sweep_script_checks_every_cell():
 
 
 @pytest.mark.parametrize(
+    "members",
+    [
+        [(0, 2, 0), (0, 0, 2)],  # a member short
+        [(3, 0, 0), (0, 2, 0), (0, 0, 2)],  # a member of degree 3
+        [(1, 1, 0), (0, 2, 0), (0, 0, 2)],  # no pure power of x0
+    ],
+)
+def test_sweep_cell_reports_a_malformed_family(members, monkeypatch):
+    # Acceptance tests 3 and 4 rely on sweep_cell for the shape of every
+    # family too: here the three quadric pure powers are replaced.
+    run_sweep = load_script("run_sweep")
+    generate = run_sweep.generate
+
+    def spoiled(N, n, d):
+        family, recipe = generate(N, n, d)
+        return (MonomialFamily.of(members) if n == 3 else family), recipe
+
+    monkeypatch.setattr(run_sweep, "generate", spoiled)
+    assert run_sweep.sweep_cell((2, 2)) == (2, 2, 4, [
+        "(N=2, n=3, d=2) [P31]: expected 3 members of degree 2 with every "
+        f"pure power, got {MonomialFamily.of(members)}"
+    ])
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["--dims", "2", "1"], "--dims must all be at least 2"),

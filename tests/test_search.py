@@ -173,7 +173,8 @@ def test_resume_token_validation():
         {"offset": -5},
         {"partition": 10**6},
         {"offset": 10**6},
-        # 7 partitions, of C(6 - p, 2) families: 1 at p = 4, none past it.
+        # Partitions 0..4 hold C(6 - p, 2) families, 1 at p = 4; the plan
+        # counts no partition past them.
         {"partition": 7, "offset": 0},
         {"partition": 5, "offset": 0},
         {"partition": 4, "offset": 1},
@@ -468,6 +469,23 @@ def test_tree_matches_the_walk_on_whole_partitions(data):
     assert got == expected
     if bits == search._ROW_BITS and 1 < k and 2 * k <= free_count + 1 and N > 1:
         assert tree.held is not None
+
+
+def test_partition_below_the_tree_walks():
+    # Searches hand a space ascending partitions, so none asks for a whole
+    # partition below the one the tree was built for; such a job walks.
+    N, d, n = 3, 3, 12
+    free_count, k = len(search._free_monomials(N, d)), n - (N + 1)
+    later, first = ((p, 0, comb(free_count - 1 - p, k - 1)) for p in (2, 0))
+    space = search._Space(N, d, n)
+    space.scan(later)
+    assert space.tree_from == 2 and space.held is not None
+    assert space.held_sets(first) is None
+    fresh = search._Space(N, d, n)
+    got = space.scan(first)
+    assert fresh.held_sets(first) is not None
+    assert got == fresh.scan(first)
+    assert got[:2] == (6435, 226)
 
 
 def test_tree_path_streams_and_pools_like_the_walk(monkeypatch):
