@@ -152,19 +152,17 @@ def _catalog_members(n: int, d: int) -> tuple[list[tuple[int, ...]], dict]:
         extra = [(i2, i1, d - i1 - i2)]
         extra += _edges(d, (i4, i2, i3)[: n - 8], (i3, i1), (i2, i4))
         return out + extra, {"m": m, "t": t, "levels": levels}
-    if 12 <= n <= CATALOG_MAX_SIZE:
-        # The pure powers and every level on every edge make 3 * parts
-        # members; the first n - 3 * parts inner members
-        # X0^i_a X1^(d-i_b) X2^(i_b-i_a), for the level pairs (a, b), make
-        # the rest.
-        parts = 4 if n <= 15 else 5
-        levels, m, t = _level_cuts(d, parts, parts - 1)
-        i = (0,) + levels  # i[l] is cut l, with i[0] = 0
-        pairs = ((2, 3), (1, 2), (1, 3)) if parts == 4 else ((2, 3), (2, 4), (1, 3))
-        inner = [(i[a], d - i[b], i[b] - i[a]) for a, b in pairs[: n - 3 * parts]]
-        extra = inner + _edges(d, levels, levels, levels)
-        return out + extra, {"m": m, "t": t, "levels": levels}
-    raise AssertionError(f"catalog has no entry for n={n}")
+    # 12 <= n <= CATALOG_MAX_SIZE: the pure powers and every level on every
+    # edge make 3 * parts members; the first n - 3 * parts inner members
+    # X0^i_a X1^(d-i_b) X2^(i_b-i_a), for the level pairs (a, b), make the
+    # rest.
+    parts = 4 if n <= 15 else 5
+    levels, m, t = _level_cuts(d, parts, parts - 1)
+    i = (0,) + levels  # i[l] is cut l, with i[0] = 0
+    pairs = ((2, 3), (1, 2), (1, 3)) if parts == 4 else ((2, 3), (2, 4), (1, 3))
+    inner = [(i[a], d - i[b], i[b] - i[a]) for a, b in pairs[: n - 3 * parts]]
+    extra = inner + _edges(d, levels, levels, levels)
+    return out + extra, {"m": m, "t": t, "levels": levels}
 
 
 def generate_P31(n: int, d: int) -> tuple[MonomialFamily, FamilyRecipe]:

@@ -100,13 +100,13 @@ def cohomology_table(N: int, n: int, d: int) -> ModuliReport:
     h1_twist = comb(N + d, d) - n
     h2 = n * comb(d - 1, 2) if N == 2 else 0
     ext1 = n * h1_twist + h2
-    _, slope = chern_and_slope(n, d)
+    c1, slope = chern_and_slope(n, d)
     report = ModuliReport(
         N=N,
         n=n,
         d=d,
         rank=n - 1,
-        c1=-n * d,
+        c1=c1,
         slope=slope,
         h0=0,
         h1=1,

@@ -41,17 +41,19 @@ class Monomial(Value):
     # Built once per member by the generators and the parser, so __init__
     # is written out instead of built from _FIELDS.
     def __init__(self, exponents: tuple[int, ...]) -> None:
+        # A one-shot iterable is read once, so that the loop below can still
+        # name its refused exponent.
+        values = tuple(exponents)
         try:
-            exps = tuple(map(index, exponents))
+            exps = tuple(map(index, values))
         except TypeError:
             # ``index`` refuses floats and strings, which ``int`` would
             # truncate or parse; name the first such exponent.
-            for e in exponents:
+            for e in values:
                 try:
                     index(e)
                 except TypeError:
                     raise ValueError(f"exponent {e!r} is not an integer") from None
-            raise
         if len(exps) < 2:
             raise ValueError("a monomial needs at least two variables")
         if any(e < 0 for e in exps):
@@ -71,15 +73,6 @@ class Monomial(Value):
     @property
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def gcd(self, other: Monomial) -> Monomial:
-        """Componentwise minimum of the two exponent vectors."""
-        if len(other.exponents) != len(self.exponents):
-            raise MismatchedVariablesError(
-                f"cannot combine monomials over {self.var_count} and "
-                f"{other.var_count} variables"
-            )
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
 
     @classmethod
     def parse(cls, text: str, var_count: int | None = None) -> Monomial:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from syzstab import search
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# Child processes import the package from this source tree.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
 
 
 def load_script(name):

@@ -2,13 +2,11 @@ import contextlib
 import functools
 import io
 import json
-import os
 import resource
 import subprocess
 import sys
 import time
 from importlib import import_module
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -21,12 +19,11 @@ from syzstab.families import generate_P2
 from syzstab.monomial import MonomialFamily
 from syzstab.search import exhaustive_search
 
+from conftest import CHILD_ENV
+
 STABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n2 2 1\n"
 UNSTABLE_TEXT = "vars=3\n5 0 0\n0 5 0\n0 0 5\n4 1 0\n"
 SEMISTABLE_TEXT = "vars=3\n2 0 0\n0 2 0\n0 0 2\n1 1 0\n1 0 1\n"
-
-# Child processes import the package from this source tree.
-CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def write(tmp_path, text):

@@ -1,6 +1,4 @@
 import ast
-import hashlib
-import json
 from math import comb
 from pathlib import Path
 
@@ -10,7 +8,7 @@ import syzstab
 from syzstab import families
 from syzstab.cli import render_triangle
 from syzstab.criterion import Stability, check_brute_force, check_efficient
-from syzstab.errors import Error, InvalidFamilyError, UnsupportedRangeError
+from syzstab.errors import InvalidFamilyError, UnsupportedRangeError
 from syzstab.families import (
     FamilyRecipe,
     _validated,
@@ -24,6 +22,8 @@ from syzstab.families import (
     generate_pure_powers,
 )
 from syzstab.monomial import MAX_FAMILY_CELLS
+
+from conftest import load_script
 
 
 def members_of(fam):
@@ -331,44 +331,12 @@ def test_post_validation_raises_without_asserts():
         _validated(cubics + [(2, 0, 0)], 2, 5, 3, "Cubics")
 
 
-def generator_calls():
-    """Calls of every builder and dispatcher over small ranges: each
-    supported size, the sizes just past them and the full sets."""
-    for N in range(2, 6):
-        for d in range(1, 9):
-            for n in range(1, comb(d + 2, 2) + N + 2):
-                yield generate, N, n, d
-            yield generate, N, comb(d + N, N), d
-    for build in (generate_P31, generate_P32, generate_P33, generate_P34):
-        for d in range(1, 17):
-            for n in range(1, comb(d + 2, 2) + 2):
-                yield build, n, d
-    for N in range(1, 5):
-        for d in range(1, 6):
-            yield generate_full_set, N, d
-            yield generate_pure_powers, N, d
-    # The catalog past the degrees above: every size at d = 17..60.
-    for d in range(17, 61):
-        for n in range(3, 19):
-            yield generate_P31, n, d
-
-
 def test_generators_give_their_pinned_outputs():
-    # One SHA-256 over the 5,512 calls, in order: each call's family and
-    # recipe as JSON, or its error's type and text.
-    digest = hashlib.sha256()
-    calls = 0
-    for build, *args in generator_calls():
-        calls += 1
-        try:
-            family, recipe = build(*args)
-            text = json.dumps([family.to_json_dict(), recipe.to_json_dict()])
-        except Error as err:
-            text = f"{type(err).__name__}:{err}"
-        digest.update(text.encode())
-    assert calls == 5512
-    assert digest.hexdigest() == (
-        "dfcf1104a77820583a52293c545650383544288e1b53de9210f084c91d9283a3"
+    # One SHA-256 over scripts/digest.py's 5,512 generator calls, in order:
+    # each call's family and recipe as JSON, or its error's type and text.
+    digest = load_script("digest")
+    assert digest.digest_of(digest.generators()) == (
+        5512, "dfcf1104a77820583a52293c545650383544288e1b53de9210f084c91d9283a3"
     )
 
 

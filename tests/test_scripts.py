@@ -1,20 +1,17 @@
 import contextlib
 import io
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import syzstab
 from syzstab import criterion, search
 from syzstab.criterion import Stability, StabilityVerdict, SubsetWitness
 from syzstab.monomial import MonomialFamily
 
-from conftest import SCRIPTS, load_script
+from conftest import CHILD_ENV, SCRIPTS, load_script
 
 
 def run_script(name, *args):
@@ -23,7 +20,7 @@ def run_script(name, *args):
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(syzstab.__file__).parents[1])},
+        env=CHILD_ENV,
     )
 
 
@@ -194,7 +191,7 @@ def test_search_digest_is_unchanged():
     # cut at budgets 1, T/3 and T - 1 then resumed: the digest of their
     # reports, tokens and progress records as they were when every
     # representative's status came from check_efficient.
-    proc = run_script("search_digest.py", "--max-families", "2000")
+    proc = run_script("digest.py", "searches", "--max-families", "2000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "runs: 533",
@@ -205,12 +202,12 @@ def test_search_digest_is_unchanged():
 def test_search_digest_is_unchanged_past_the_grid_limit(monkeypatch, capsys):
     # The same 533 runs with GRID_LIMIT = 0, so that no search shares a mask
     # table and every status comes from the family's own closed-cell scan.
-    search_digest = load_script("search_digest")
+    digest = load_script("digest")
     walks = []
     monkeypatch.setattr(criterion, "GRID_LIMIT", 0)
     for module in (criterion, search):
         monkeypatch.setattr(module, "_lattice_walk", lambda *args: walks.append(args))
-    assert search_digest.main(["--max-families", "2000"]) == 0
+    assert digest.main(["searches", "--max-families", "2000"]) == 0
     assert walks == []
     assert capsys.readouterr().out.splitlines() == [
         "runs: 533",
@@ -223,7 +220,7 @@ def test_plane_digest_is_unchanged():
     # check_efficient: the digest of their family texts and verdict JSON as
     # they were when families sorted by Monomial.canon_key and vectors came
     # from a recursive enumerator.
-    proc = run_script("plane_digest.py", "--max-degree", "12")
+    proc = run_script("digest.py", "planes", "--max-degree", "12")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "planes: 430",
@@ -231,27 +228,37 @@ def test_plane_digest_is_unchanged():
     ]
 
 
+def test_digest_runs_every_corpus_when_none_is_named(capsys):
+    # Planes and searches run below their defaults, so only the generator
+    # pin applies; the three digests print in their fixed order.
+    assert load_script("digest").main(["--max-degree", "1", "--max-families", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[::2] == ["planes: 1", "runs: 30", "calls: 5512"]
+    assert lines[5] == (
+        "sha256: dfcf1104a77820583a52293c545650383544288e1b53de9210f084c91d9283a3"
+    )
+
+
 @pytest.mark.parametrize(
-    "name, args, message",
+    "args, message",
     [
-        ("plane_digest", ["--max-degree", "0"], "--max-degree must be at least 1"),
-        ("plane_digest", ["--max-degree", "-4"], "--max-degree must be at least 1"),
-        (
-            "search_digest", ["--max-families", "-1"],
-            "--max-families must be at least 0",
-        ),
+        (["planes", "--max-degree", "0"], "--max-degree must be at least 1"),
+        (["planes", "--max-degree", "-4"], "--max-degree must be at least 1"),
+        (["searches", "--max-families", "-1"], "--max-families must be at least 0"),
+        (["searches", "--max-degree", "0"], "--max-degree must be at least 1"),
     ],
 )
-def test_digest_scripts_refuse_bounds_that_select_nothing(name, args, message, capsys):
-    # Such a bound hashes no input and would print the empty digest.
-    assert load_script(name).main(args) == 1
+def test_digest_refuses_bounds_that_select_nothing(args, message, capsys):
+    # Such a bound hashes no input and would print the empty digest.  It is
+    # refused before any digest runs, whether or not its digest is named.
+    assert load_script("digest").main(args) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_search_digest_at_zero_families_runs_the_empty_searches(capsys):
     # n <= N leaves no free member to choose, so those searches hold no
     # family and still run.
-    assert load_script("search_digest").main(["--max-families", "0"]) == 0
+    assert load_script("digest").main(["searches", "--max-families", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "runs: 30"
 
 
@@ -272,8 +279,7 @@ def ints(low, high):
 # most 1, since a script loaded in process cannot pickle ``sweep_cell`` for
 # a worker.
 SCRIPT_FLAGS = {
-    "plane_digest": ({"--max-degree": ints(-2, 3)}, {}),
-    "search_digest": ({"--max-families": ints(-2, 30)}, {}),
+    "digest": ({"--max-degree": ints(-2, 3), "--max-families": ints(-2, 30)}, {}),
     "run_sweep": (
         {
             "--dims": st.lists(ints(0, 4), min_size=1, max_size=2),
@@ -292,12 +298,19 @@ SCRIPT_FLAGS = {
 }
 
 
+# The digests named: one or both of the bounded two, never none, which
+# would hash the 5,512 generator calls too.
+SCRIPT_NAMES = {
+    "digest": st.lists(st.sampled_from(["planes", "searches"]), min_size=1, max_size=2),
+}
+
+
 @st.composite
 def script_inputs(draw):
     """``(script name, argv)`` with small valid and invalid numbers."""
     name = draw(st.sampled_from(sorted(SCRIPT_FLAGS)))
     given_flags, drawn_flags = SCRIPT_FLAGS[name]
-    argv = []
+    argv = draw(SCRIPT_NAMES.get(name, st.just([])))
     for flag, values in given_flags.items():
         value = draw(values)
         argv += [flag, *value] if isinstance(value, list) else [flag, value]

@@ -1,12 +1,10 @@
 import gc
 import json
-import os
 import subprocess
 import sys
 import weakref
 from itertools import combinations, islice, permutations
 from math import comb
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -19,6 +17,8 @@ from syzstab.errors import Error, UnsupportedRangeError
 from syzstab.families import generate_P2
 from syzstab.monomial import MonomialFamily
 from syzstab.search import NONE_SEMISTABLE, exhaustive_search
+
+from conftest import CHILD_ENV
 
 
 def test_cubic_binary_forms_have_no_semistable_triple():
@@ -562,9 +562,8 @@ for triple in [(2, 9, 55), (2, 62, 2016)]:
     report = json.dumps(exhaustive_search(*triple).to_json_dict(), sort_keys=True)
     print(hashlib.sha256(report.encode()).hexdigest())
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
