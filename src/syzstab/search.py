@@ -17,7 +17,8 @@ ascending-sorted exponent sequence is lexicographically minimal among all
 (N+1)! axis permutations.  Every family in a scanned range counts towards
 ``families_examined`` and the budget by the partition plan's arithmetic,
 since a whole partition under the orderly tree (below) tests few of its
-families on their own; ``orbits_examined`` counts checks.
+families on their own; ``orbits_examined`` counts representatives, each
+once, whether or not it takes a status (below).
 
 The test runs on the chosen free indices C alone.  Two sorted sequences of
 distinct elements compare by the smallest element of their symmetric
@@ -104,7 +105,13 @@ free monomials, goes to ``criterion._equal_candidates``, which takes the
 closed-cell scan there as ``check_efficient`` would.  Either way, any
 candidate with a negative margin (d-t)*n + t - d*k makes the family
 unstable, else any candidate at all semistable-only, else it is stable.
-Only the reported best family, and a resume token's, is built as a
+The status is bounded by the best found so far, as in branch and bound
+(A. H. Land and A. G. Doig, Econometrica 28, 1960): once a partition's best
+is stable, a representative whose M(C) is not above the best's takes no
+status, since no lower rank displaces it and a stable family of smaller
+M(C), whose sorted exponent sequence is larger, loses the tie.  The bound
+stays within one partition, so a pool worker's result is the partition's
+own.  Only the reported best family, and a resume token's, is built as a
 ``MonomialFamily``.
 
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
@@ -450,7 +457,8 @@ class _Space:
         (families, orbits, best (rank, exponents) result).  Among families
         of one rank the best has the smallest sorted exponent sequence,
         that is the largest M(C) (module docstring), so its exponents are
-        built once, at the end."""
+        built once, at the end.  Once the best is stable, a representative
+        of no larger M(C) is counted but takes no status."""
         held = self.held_sets(job)
         if held is None:
             found = self.walk(job)
@@ -461,6 +469,13 @@ class _Space:
         best_rank, best_key, best = 0, -1, ()
         for chosen in found:
             orbits += 1
+            if best_rank == 2:
+                # The bound: only a stable family of larger key displaces a
+                # stable best, so no smaller key needs its status.
+                key = sum(map((1).__lshift__, chosen))
+                if key > best_key and status(chosen) == 2:
+                    best_key, best = key, chosen
+                continue
             rank = status(chosen)
             if rank and rank >= best_rank:
                 key = sum(1 << c for c in chosen)

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import shutil
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzstab import criterion, search
+from syzstab import cli, criterion, search
 from syzstab.criterion import Stability, StabilityVerdict, SubsetWitness
 from syzstab.monomial import MonomialFamily
 
@@ -262,12 +264,75 @@ def test_search_digest_at_zero_families_runs_the_empty_searches(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "runs: 30"
 
 
+def test_timing_driver_alternates_two_checkouts(monkeypatch, tmp_path, capsys):
+    # One tiny search, 2 rounds, against a copy of this source tree: the
+    # copy runs first in round 1 and second in round 2, and every line
+    # carries the SHA-256 of the search's own output.
+    driver = load_script("time_inputs")
+    shutil.copytree(SCRIPTS.parent / "src" / "syzstab", tmp_path / "src" / "syzstab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    search_226 = ["-m", "syzstab.cli", "search", "2", "2", "6"]
+    monkeypatch.setitem(driver.INPUTS, "tiny", search_226)
+    roots = []
+    run_child = driver.run_child
+
+    def recorded(root, args):
+        roots.append(root)
+        return run_child(root, args)
+
+    monkeypatch.setattr(driver, "run_child", recorded)
+    assert driver.main(["tiny", "--rounds", "2", "--against", str(tmp_path)]) == 0
+    assert roots == [tmp_path, driver.ROOT, driver.ROOT, tmp_path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["search", "2", "2", "6"]) == 0
+    sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    here, against, ratio = capsys.readouterr().out.splitlines()
+    assert here.startswith("tiny here: median ") and here.endswith(f", sha256 {sha}")
+    assert against.startswith("tiny against: ") and against.endswith(f", sha256 {sha}")
+    assert ratio.startswith("tiny against/here: ")
+
+
+def test_timing_driver_fails_on_different_output_or_a_failed_child(
+    monkeypatch, tmp_path, capsys
+):
+    # Fake children, so that no process starts: one prints its checkout's
+    # path, the other fails.  A failed input is reported and the rest run.
+    driver = load_script("time_inputs")
+    (tmp_path / "src" / "syzstab").mkdir(parents=True)
+    args = ["search-2-6-8", "--rounds", "1", "--against", str(tmp_path)]
+
+    def prints_its_root(root, args):
+        return 1.0, 0, str(root).encode(), b""
+
+    def fails(root, args):
+        return 1.0, 2, b"", b"Traceback\nlast line\n"
+
+    monkeypatch.setattr(driver, "run_child", prints_its_root)
+    assert driver.main(args) == 1
+    assert capsys.readouterr().err == "error: search-2-6-8 printed different output\n"
+    monkeypatch.setattr(driver, "run_child", fails)
+    assert driver.main(["search-2-6-8", "sweep-2-40"]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: search-2-6-8 exited 2 in {driver.ROOT}: last line\n"
+        f"error: sweep-2-40 exited 2 in {driver.ROOT}: last line\n"
+    ))
+
+
 # -- no script input ends in a traceback ---------------------------------
+
+
+def instant_child(root, args):
+    """A child of the timing driver that prints its arguments at once."""
+    return 1.0, 0, " ".join(args).encode(), b""
 
 
 @pytest.fixture(scope="module")
 def scripts():
-    return {name: load_script(name) for name in SCRIPT_FLAGS}
+    loaded = {name: load_script(name) for name in SCRIPT_FLAGS}
+    # No draw starts a process.
+    loaded["time_inputs"].run_child = instant_child
+    return loaded
 
 
 def ints(low, high):
@@ -287,6 +352,10 @@ SCRIPT_FLAGS = {
         },
         {"--d-min": ints(-1, 3), "--jobs": ints(-1, 1)},
     ),
+    "time_inputs": (
+        {"--rounds": ints(-1, 3)},
+        {"--against": st.sampled_from([str(SCRIPTS.parent), str(SCRIPTS)])},
+    ),
     "run_oracle_fuzz": (
         {"--samples": ints(-1, 4), "--seed": ints(0, 3)},
         {
@@ -302,6 +371,9 @@ SCRIPT_FLAGS = {
 # would hash the 5,512 generator calls too.
 SCRIPT_NAMES = {
     "digest": st.lists(st.sampled_from(["planes", "searches"]), min_size=1, max_size=2),
+    "time_inputs": st.lists(
+        st.sampled_from(["search-2-6-8", "sweep-2-40", "no-such-input"]), max_size=2
+    ),
 }
 
 

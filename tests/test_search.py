@@ -114,8 +114,10 @@ def test_progress_reports_partitions():
 
 
 def test_serial_progress_streams_as_partitions_finish(monkeypatch):
-    # Every representative's status, from the masks or from check_efficient,
-    # goes through one step.
+    # Every status, from the masks or from the family's own table, goes
+    # through one step, once for each representative the bound lets
+    # through.
+    expected = statuses_under_the_bound(2, 5, 7)
     checks = []
     status = search._Space.status
 
@@ -130,8 +132,8 @@ def test_serial_progress_streams_as_partitions_finish(monkeypatch):
         if not checks_at_first_record:
             checks_at_first_record.append(len(checks))
 
-    report = exhaustive_search(2, 5, 7, progress=progress)
-    assert len(checks) == report.orbits_examined
+    exhaustive_search(2, 5, 7, progress=progress)
+    assert checks == expected
     assert checks_at_first_record[0] < len(checks)
 
 
@@ -262,6 +264,18 @@ def sorted_sequence_filter(N):
     return is_minimal
 
 
+def lane_filter(chosen, space):
+    """The space's own orbit filter, one family at a time: with C empty
+    there is nothing to permute; otherwise one sum over C tests block 0's
+    lanes, and ``passes_rest`` the later blocks and the permutations past
+    the lanes."""
+    diffs, guards, bias, _ = space.first_block()
+    return not chosen or (
+        not sum(map(diffs.__getitem__, chosen), bias) & guards
+        and space.passes_rest(chosen)
+    )
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_bitmask_filter_matches_sorted_sequence_definition(data):
@@ -301,48 +315,59 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
                     chosen = grown
             chosen = tuple(sorted(chosen))
             exps = tuple(sorted(pure + [free[c] for c in chosen]))
-            # The filter, one family at a time: with C empty there is
-            # nothing to permute; otherwise one sum over C tests block 0's
-            # lanes, and passes_rest the later blocks and the permutations
-            # past the lanes.
-            diffs, guards, bias, _ = space.first_block()
-            passes = not chosen or (
-                not sum(map(diffs.__getitem__, chosen), bias) & guards
-                and space.passes_rest(chosen)
-            )
-            assert passes == sorted_sequence_is_minimal(exps, perms)
+            assert lane_filter(chosen, space) == sorted_sequence_is_minimal(exps, perms)
 
 
 def reference_scan(space, job, is_minimal):
     """``_Space.scan`` as a plain loop: every family of the job from
-    ``combinations`` and ``islice``, tested by ``is_minimal``, and each
-    representative's status from ``space.status``.  Return the scan's
-    result and the representatives, in order."""
+    ``combinations`` and ``islice``, tested by ``is_minimal``, and every
+    representative's status from ``space.status``.  The best is kept twice:
+    over every status, and under the bound, which passes over a
+    representative whose key M(C) is not above a stable best's; the two
+    must agree.  Return the scan's result and the representatives the bound
+    lets through, in order."""
     partition, skip, limit = job
     k = space.k
     if k == 0:
         tails = iter([()])
     else:
         tails = combinations(range(partition + 1, len(space.free)), k - 1)
-    families = 0
-    representatives = []
-    best_rank, best_key, best = 0, -1, ()
+    families = orbits = 0
+    passed = []
+    best = bounded = (0, -1, ())
     for tail in islice(tails, skip, skip + limit):
         families += 1
         chosen = (partition, *tail) if k else ()
         if not is_minimal(chosen, space):
             continue
-        representatives.append(chosen)
+        orbits += 1
         rank = space.status(chosen)
-        if rank and rank >= best_rank:
-            key = sum(1 << c for c in chosen)
-            if rank > best_rank or key > best_key:
-                best_rank, best_key, best = rank, key, chosen
-    orbits = len(representatives)
+        key = sum(1 << c for c in chosen)
+        if rank and (rank, key) > best[:2]:
+            best = (rank, key, chosen)
+        if bounded[0] == 2 and key <= bounded[1]:
+            continue
+        passed.append(chosen)
+        if rank and (rank, key) > bounded[:2]:
+            bounded = (rank, key, chosen)
+    assert bounded == best
+    best_rank, _, best = best
     if not best_rank:
-        return (families, orbits, (0, None)), representatives
+        return (families, orbits, (0, None)), passed
     exps = tuple(sorted(space.pure_exps + [space.free[c] for c in best]))
-    return (families, orbits, (best_rank, exps)), representatives
+    return (families, orbits, (best_rank, exps)), passed
+
+
+def statuses_under_the_bound(N, d, n):
+    """The representatives that a whole search of (N, d, n), k >= 1, hands
+    to ``status``, in order: ``reference_scan`` over every partition."""
+    space = search._Space(N, d, n)
+    free_count, k = len(space.free), space.k
+    passed = []
+    for p in range(free_count - k + 1):
+        job = (p, 0, comb(free_count - 1 - p, k - 1))
+        passed += reference_scan(space, job, lane_filter)[1]
+    return passed
 
 
 def test_searches_match_the_sorted_sequence_filter(monkeypatch):
@@ -382,6 +407,23 @@ def test_searches_match_the_sorted_sequence_filter(monkeypatch):
     assert len(tested) == sum(examined) > 0
 
 
+def scan_recorded(space, job):
+    """``space.scan(job)`` and the chosen tuples it hands to ``status``, in
+    order."""
+    checked = []
+    status = space.status
+
+    def recorded(chosen):
+        checked.append(chosen)
+        return status(chosen)
+
+    space.status = recorded
+    try:
+        return space.scan(job), checked
+    finally:
+        del space.status
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_walk_matches_the_reference_loop(data):
@@ -405,37 +447,10 @@ def test_walk_matches_the_reference_loop(data):
         limit = data.draw(st.sampled_from([whole, data.draw(st.integers(1, whole))]))
         job = (partition, skip, min(limit, 40))
     with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
-        space = search._Space(N, d, N + 1 + k)
-        checked = []
-        status = space.status
-
-        def recorded(chosen):
-            checked.append(chosen)
-            return status(chosen)
-
-        space.status = recorded
-        expected, representatives = reference_scan(
+        expected, passed = reference_scan(
             search._Space(N, d, N + 1 + k), job, sorted_sequence_filter(N)
         )
-        assert space.scan(job) == expected
-        assert checked == representatives
-
-
-def scan_recorded(space, job):
-    """``space.scan(job)`` and the chosen tuples it hands to ``status``, in
-    order."""
-    checked = []
-    status = space.status
-
-    def recorded(chosen):
-        checked.append(chosen)
-        return status(chosen)
-
-    space.status = recorded
-    try:
-        return space.scan(job), checked
-    finally:
-        del space.status
+        assert scan_recorded(search._Space(N, d, N + 1 + k), job) == (expected, passed)
 
 
 @given(st.data())
@@ -489,7 +504,9 @@ def test_partition_below_the_tree_walks():
 
 
 def test_tree_path_streams_and_pools_like_the_walk(monkeypatch):
-    # Whole partitions of (3, 3, 13) take the orderly tree.
+    # Whole partitions of (3, 3, 13) take the orderly tree, and statuses
+    # are taken as on the walk.
+    expected = statuses_under_the_bound(3, 3, 13)
     checks = []
     status = search._Space.status
     held_sets = search._Space.held_sets
@@ -516,7 +533,7 @@ def test_tree_path_streams_and_pools_like_the_walk(monkeypatch):
         patched.setattr(search._Space, "held_sets", recorded_held_sets)
         serial = exhaustive_search(3, 3, 13, progress=progress)
     assert trees and all(held is not None for held in trees)
-    assert len(checks) == serial.orbits_examined
+    assert checks == expected
     assert checks_at_first_record[0] < len(checks)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     pooled = []
@@ -673,6 +690,7 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
         return json.dumps([report.to_json_dict(), records])
 
     masks = run()
+    expected = statuses_under_the_bound(*triple)
     scans, checks = [], []
     closed_cells = criterion._closed_cells
 
@@ -685,13 +703,42 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
     assert run() == masks
     assert scans == []
     # A box of d^(N+1) = 81 or 32 cells past the limit: every representative
-    # takes one closed-cell scan of its own table, with no family object
-    # and no check_efficient call, and nothing changes.
+    # the bound lets through takes one closed-cell scan of its own table,
+    # with no family object and no check_efficient call, and nothing
+    # changes.
     N, d, _ = triple
     monkeypatch.setattr(criterion, "GRID_LIMIT", d ** (N + 1) - 1)
     assert run() == masks
-    assert len(scans) == json.loads(masks)[0]["orbits_examined"]
+    assert len(scans) == len(expected)
     assert checks == []
+
+
+def test_the_bound_skips_statuses_that_cannot_win(monkeypatch):
+    # Once a partition's best is stable, a representative of smaller key
+    # M(C) takes no status, and orbits_examined still counts it: 100
+    # statuses for 584 representatives, and past the limit 69 closed-cell
+    # scans for 373.
+    statuses = []
+    status = search._Space.status
+
+    def counting(space, chosen):
+        statuses.append(chosen)
+        return status(space, chosen)
+
+    monkeypatch.setattr(search._Space, "status", counting)
+    assert exhaustive_search(3, 3, 12).orbits_examined == 584
+    assert len(statuses) == 100
+    scans = []
+    closed_cells = criterion._closed_cells
+
+    def counting_scans(*args):
+        scans.append(args)
+        return closed_cells(*args)
+
+    monkeypatch.setattr(criterion, "_closed_cells", counting_scans)
+    monkeypatch.setattr(criterion, "GRID_LIMIT", 80)
+    assert exhaustive_search(3, 3, 14).orbits_examined == 373
+    assert len(scans) == 69
 
 
 @pytest.mark.parametrize("past_limit", [False, True], ids=["masks", "past-limit"])
