@@ -478,7 +478,7 @@ class _Space:
                 continue
             rank = status(chosen)
             if rank and rank >= best_rank:
-                key = sum(1 << c for c in chosen)
+                key = sum(map((1).__lshift__, chosen))
                 if rank > best_rank or key > best_key:
                     best_rank, best_key, best = rank, key, chosen
         families = job[2]
