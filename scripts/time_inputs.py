@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the runs that no benchmark workload reaches: whole searches,
 budgeted searches of spaces past the orbit filter's lanes or past
-``criterion.GRID_LIMIT``, and the plane sweep at d = 40.  Each input runs
+``criterion.GRID_LIMIT``, the whole search over the widest image table,
+and the plane sweep at d = 40.  Each input runs
 in a child process R times, and its line gives the median wall time, the
 range and the SHA-256 of the child's stdout, so that a speed claim also
 shows that the answers did not move.
@@ -38,7 +39,8 @@ _SEARCH = ["-m", "syzstab.cli", "search"]
 
 #: name: the child's arguments after the interpreter, run from a checkout's
 #: root.  The first five searches run whole; 4 14 7 and 3 27 6 lie past
-#: the lanes, 2 90 5 past the grid limit.
+#: the lanes, 2 90 5 past the grid limit.  Whole 2 600 4 walks the widest
+#: image table, F = 180,898 free monomials at k = 1.
 INPUTS = {
     "search-3-4-10": [*_SEARCH, "3", "4", "10"],
     "search-4-3-13": [*_SEARCH, "4", "3", "13"],
@@ -48,6 +50,7 @@ INPUTS = {
     "search-4-14-7": [*_SEARCH, "4", "14", "7", "--budget", "2000000"],
     "search-3-27-6": [*_SEARCH, "3", "27", "6", "--budget", "1000000"],
     "search-2-90-5": [*_SEARCH, "2", "90", "5", "--budget", "3000000"],
+    "search-2-600-4": [*_SEARCH, "2", "600", "4"],
     "sweep-2-40": [
         "scripts/run_sweep.py", "--dims", "2", "--d-min", "40", "--d-max", "40"
     ],

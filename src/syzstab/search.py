@@ -7,9 +7,9 @@ plus an n-(N+1)-subset of the remaining degree-d monomials".  The free
 monomials are indexed in canonical order and the subset space is
 partitioned by the smallest chosen index, which gives deterministic
 enumeration, cheap parallelism (partitions share only the space of free
-monomials, filter lanes, status masks and orderly tree, built once by each
-search or pool worker), and a natural checkpoint token (partition, offset
-within partition).
+monomials, filter lanes and image table, status masks and orderly tree,
+built once by each search or pool worker), and a natural checkpoint token
+(partition, offset within partition).
 
 Families related by a permutation of the variables have the same verdict,
 so only orbit representatives are checked: a family is checked iff its
@@ -27,7 +27,8 @@ never decide it; free monomials are indexed in descending order, so a
 permutation pi gives a smaller sequence exactly when
 M(pi(C)) > M(C), where M(C) = sum of 2^c over c in C.
 
-The filter decides this for many permutations at once.  Each kept
+The filter decides this by three routes: lanes, the image table and the
+recompute.  Lanes decide it for many permutations at once.  Each kept
 permutation pi owns a lane of F+1 bits, F the number of free monomials,
 and ``packed[c]`` holds ``1 << index(pi(free[c]))`` in every lane, so the
 sum of ``packed[c]`` over c in C holds M(pi(C)) in each lane, without
@@ -40,6 +41,14 @@ every lane, so that ``bias + sum of diff[c] over c in C``, with ``bias``
 the guards minus ``ones``, is that same integer, and no family needs
 M(C) to be tested.
 
+The permutations past the kept lanes take the image table where they
+number at most ``_ROW_BITS`` / F.  It holds, for each free
+monomial c, a column of the image index of c under each of them, filled
+the first time a family chooses c; a family C passes a permutation when
+its chosen images, sorted descending, do not exceed C sorted descending,
+which is M(pi(C)) <= M(C).  Past that cap they are recomputed at the
+chosen indices, for each family that reaches them.
+
 A partition's families are walked depth-first in lexicographic order,
 without recursion, from an offset unranked in the combinatorial number
 system.  The walk carries block 0's sum ``D`` over a prefix of chosen
@@ -50,7 +59,7 @@ difference of two prefix sums of ``diff``; each run of consecutive
 positions keeps one offset, so an advance costs O(1) big-int operations
 however long the prefix.  Only families block 0 lets through are built as
 tuples and go on to the later blocks and to the permutations past the
-kept lanes, which are recomputed at the chosen indices.
+kept lanes.
 
 Whole partitions take their representatives from an orderly tree instead,
 built once per search (once per pool worker) and shared by all of them.
@@ -66,7 +75,8 @@ every suffix of T is a representative too.  The tree grows those sets from
 the empty set, with carried sum ``bias``, a level at a time: a set S of a
 level, with carried sum D, gets the child (c, *S) for c below min(S), and
 high enough that k - 1 indices and a partition still fit, when
-``(D + diff[c]) & guards`` is zero and the later blocks let it through.
+``(D + diff[c]) & guards`` is zero and the later blocks and the table let
+it through.
 The sets of a sorted level that lie above c are a suffix of it (bisect on
 the smallest index), and (c, *S) sorts as S does, so taking c in ascending
 order keeps every level sorted.  The last level, the held sets of k - 1
@@ -75,9 +85,9 @@ indices, stays with the search, and partition p tests only the families
 walk's lexicographic order: the status step sees the same representatives
 in the same order.  A partition cut by the budget or a resume offset
 walks, so offsets and tokens keep their meaning, and so does every
-partition of a space whose lanes miss a permutation, where each tree node
-would pay the recompute.  The tree starts at the first whole partition
-and is used only while it is the smaller: its nodes, at most
+partition of a space whose lanes and table miss a permutation, where each
+tree node would pay the recompute.  The tree starts at the first whole
+partition and is used only while it is the smaller: its nodes, at most
 C(span, k - 1) for the span of indices from that partition on, may
 outnumber the C(span, k) families they serve by at most a factor of
 min((N+1)!, 24) / 6.  Near-full families have long sets that prune
@@ -122,6 +132,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from bisect import bisect_right
 from contextlib import nullcontext
 from itertools import accumulate, islice, permutations
@@ -159,11 +170,13 @@ NONE_SEMISTABLE = "none-semistable"
 #: with exponents None at rank 0.
 _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 
-#: Most bits of orbit-filter lanes that one search keeps, counted as F^2
-#: per kept permutation of F free monomials: the lane of permutation pi
-#: holds M(pi(C)) in F bits and a guard bit above them, in each packed
-#: entry of a block.  Permutations past them are recomputed for each
-#: family that the kept lanes let through, at its chosen indices only.
+#: The orbit filter's two caps.  Lanes: at most this many bits, counted as
+#: F^2 per kept permutation of F free monomials, since the lane of
+#: permutation pi holds M(pi(C)) in F bits and a guard bit above them, in
+#: each packed entry of a block.  The image table: the permutations past
+#: the lanes times F, in 4-byte entries (16 MB), or no table.  Past both,
+#: the permutations are recomputed for each family that reaches them, at
+#: its chosen indices only.
 _ROW_BITS = 1 << 22
 
 #: Lanes per block of the orbit filter.  A block is built the first time a
@@ -201,13 +214,14 @@ def _free_monomials(N: int, d: int) -> list[tuple[int, ...]]:
 
 class _Space:
     """The search space of one (N, d, n): the free monomials and their
-    index, the pure powers, the orbit filter's blocks of permutation lanes,
-    the orderly tree's held sets and, where the lattice box d^(N+1) fits
-    ``criterion.GRID_LIMIT``, the status masks shared by its n-member
-    families.  One is built for each search, or for each worker of a
-    pooled one, and none outlives it.  Lanes are built on first use, so a
-    family rejected by its first block builds no other, and the tree on
-    the first whole partition."""
+    index, the pure powers, the orbit filter's blocks of permutation lanes
+    and image table, the orderly tree's held sets and, where the lattice
+    box d^(N+1) fits ``criterion.GRID_LIMIT``, the status masks shared by
+    its n-member families.  One is built for each search, or for each
+    worker of a pooled one, and none outlives it.  Lanes are built on
+    first use, so a family rejected by its first block builds no other,
+    table columns the first time a family chooses their monomial, and the
+    tree on the first whole partition."""
 
     def __init__(self, N: int, d: int, n: int):
         self.N = N
@@ -226,7 +240,17 @@ class _Space:
         # Each free monomial's images under the permutations, in the order
         # of permutations(range(N + 1)); each block takes the next ones.
         self._images = [permutations(e) for e in self.free] if self.lanes else []
-        self.sums: list[int] = []
+        # Block 0 and the prefix sums of its diffs, as ``first_block`` gives.
+        self.first: Optional[tuple] = None
+        # The image table: column c holds the image index of free[c] under
+        # each of the ``height`` permutations past the lanes, filled the
+        # first time a family chooses c.  Height 0 where the lanes cover
+        # every permutation, where there is no free monomial, or where the
+        # table would pass the cap.
+        past = self.perm_count - max(self.lanes, 1)
+        self.height = past if 0 < past * free_count <= _ROW_BITS else 0
+        self.table: Optional[memoryview] = None
+        self.filled = bytearray()
         # The orderly tree's first partition and held sets, decided on the
         # first whole partition.
         self.tree_from: Optional[int] = None
@@ -248,7 +272,7 @@ class _Space:
         ``1 << index(pi(free[c]))`` in the lane of each of the block's
         permutations pi, ``ones`` a 1 in each lane, ``guards`` the top bit
         of each lane, and ``bias`` is ``guards - ones``.  Block 0 also
-        fills ``sums``, the prefix sums of its diffs."""
+        sets ``first``: itself and ``sums``, the prefix sums of its diffs."""
         count = min(_BLOCK, self.lanes - len(self.blocks) * _BLOCK)
         shifts = range(0, count * self.width, self.width)
         ones = sum(map((1).__lshift__, shifts))
@@ -261,23 +285,27 @@ class _Space:
         guards = ones << (self.width - 1)
         self.blocks.append((diffs, guards, guards - ones))
         if len(self.blocks) == 1:
-            self.sums = list(accumulate(diffs, initial=0))
+            self.first = (*self.blocks[0], list(accumulate(diffs, initial=0)))
 
     def first_block(self) -> tuple[list[int], int, int, list[int]]:
         """Block 0's ``(diffs, guards, bias)`` and ``sums``, built on first
-        use.  With no lanes kept they are zeros, so every family passes to
-        the recompute."""
-        if not self.lanes:
-            zeros = bytes(len(self.free) + 1)
-            return zeros, 0, 0, zeros
-        if not self.blocks:
-            self.grow()
-        return (*self.blocks[0], self.sums)
+        use and kept.  With no lanes kept they are zeros, so every family
+        passes to the table or the recompute."""
+        if self.first is None:
+            if self.lanes:
+                self.grow()
+            else:
+                zeros = bytes(len(self.free) + 1)
+                self.first = (zeros, 0, 0, zeros)
+        return self.first
 
     def passes_rest(self, chosen: tuple[int, ...]) -> bool:
         """True iff the chosen free indices C, which block 0 lets through,
-        pass every later block and every permutation past the lanes, which
-        is recomputed at the chosen indices."""
+        pass every later block and every permutation past the lanes.
+        Where the image table is kept, its chosen columns are zipped, and
+        a permutation rejects C when its images, sorted descending, exceed
+        C sorted descending, that is M(pi(C)) > M(C); else those
+        permutations are recomputed at the chosen indices."""
         blocks = self.blocks
         for b in range(1, self.block_count):
             if b == len(blocks):
@@ -287,9 +315,31 @@ class _Space:
                 return False
         if self.lanes == self.perm_count:
             return True
+        free, index, height = self.free, self.index, self.height
+        start = max(self.lanes, 1)
+        if height:
+            if self.table is None:
+                # An anonymous mapping's pages are allocated as columns are
+                # written, so a short search pays for the columns it fills.
+                from mmap import mmap
+
+                self.table = memoryview(mmap(-1, 4 * height * len(free))).cast("I")
+                self.filled = bytearray(len(free))
+            table, filled = self.table, self.filled
+            for c in chosen:
+                if not filled[c]:
+                    filled[c] = 1
+                    images = islice(permutations(free[c]), start, None)
+                    table[c * height:(c + 1) * height] = array(
+                        "I", map(index.__getitem__, images)
+                    )
+            ordered = sorted(chosen, reverse=True)
+            columns = [table[c * height:(c + 1) * height] for c in chosen]
+            return not any(
+                sorted(images, reverse=True) > ordered for images in zip(*columns)
+            )
         mask = sum(map((1).__lshift__, chosen))
-        free, index = self.free, self.index
-        for perm in islice(permutations(range(self.N + 1)), max(self.lanes, 1), None):
+        for perm in islice(permutations(range(self.N + 1)), start, None):
             if sum(1 << index[tuple(free[c][i] for i in perm)] for c in chosen) > mask:
                 return False
         return True
@@ -390,12 +440,12 @@ class _Space:
         representative T of k - 1 indices all above the first partition
         that asked, D its carried block-0 sum, sorted.  Built on the first
         such job, once per space.  None where the job takes the walk: the
-        lanes miss a permutation, the tree was abandoned (``_grow_tree``),
-        or it was built for a later partition."""
+        lanes and the table miss a permutation, the tree was abandoned
+        (``_grow_tree``), or it was built for a later partition."""
         partition, skip, limit = job
         k = self.k
         if (
-            k < 2 or skip or self.lanes != self.perm_count
+            k < 2 or skip or (self.lanes != self.perm_count and not self.height)
             or limit != comb(len(self.free) - 1 - partition, k - 1)
         ):
             return None
@@ -433,20 +483,25 @@ class _Space:
             high = level[-1][0][0]
         return level
 
-    def children(self, level: list, c: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Yield ``((c, *S), D + diffs[c])`` for each ``(S, D)`` of a sorted
-        level whose set S lies above c and for which (c, *S) is a
+    def children(self, level: list, c: int) -> list[tuple[tuple[int, ...], int]]:
+        """The list of ``((c, *S), D + diffs[c])`` for each ``(S, D)`` of a
+        sorted level whose set S lies above c and for which (c, *S) is a
         representative, in order: the sets above c are a suffix of the
-        level, and (c, *S) sorts as S does."""
-        diffs, guards, _ = self.blocks[0]
-        passes_rest = self.passes_rest
+        level, and (c, *S) sorts as S does.  Where block 0 holds every
+        permutation, a set it lets through is a representative."""
+        diffs, guards, _, _ = self.first_block()
         step = diffs[c]
-        for S, D in islice(level, bisect_right(level, c, key=_smallest), None):
-            carried = D + step
-            if not carried & guards:
-                chosen = (c, *S)
-                if passes_rest(chosen):
-                    yield chosen, carried
+        above = islice(level, bisect_right(level, c, key=_smallest), None)
+        if self.block_count == 1 and self.lanes == self.perm_count:
+            return [
+                ((c, *S), carried)
+                for S, D in above if not (carried := D + step) & guards
+            ]
+        passes_rest = self.passes_rest
+        return [
+            (chosen, carried) for S, D in above
+            if not (carried := D + step) & guards and passes_rest(chosen := (c, *S))
+        ]
 
     def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
         """Enumerate one partition, ``job = (partition, skip, limit)``:

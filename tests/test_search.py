@@ -619,6 +619,29 @@ def test_search_builds_one_space_and_keeps_nothing(monkeypatch):
     assert exhaustive_search(3, 3, 14, progress=pooled.append, jobs=2) == serial
     assert pooled == records
     assert len(built) == 1
+    # At 600 bits the space keeps 3 lanes and an image table, which the
+    # search fills and drops with the space.  Forked workers inherit the
+    # patched cap and fill their own tables.
+    tables = []
+
+    class Tabled(Recorded):
+        def scan(self, job):
+            found = super().scan(job)
+            tables.append(weakref.ref(self.table))
+            return found
+
+    monkeypatch.setattr(search, "_Space", Tabled)
+    monkeypatch.setattr(search, "_ROW_BITS", 600)
+    tabled = []
+    assert exhaustive_search(3, 3, 14, progress=tabled.append) == serial
+    assert tabled == records
+    assert len(built) == 2 and len(tables) == 7
+    gc.collect()
+    assert built[1]() is None and tables[0]() is None
+    pooled.clear()
+    assert exhaustive_search(3, 3, 14, progress=pooled.append, jobs=2) == serial
+    assert pooled == records
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("triple", [(3, 3, 14), (3, 3, 17), (4, 2, 10), (4, 2, 12)])
@@ -629,11 +652,73 @@ def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
         return json.dumps([report.to_json_dict(), records])
 
     kept = run()
-    # With 600 bits the scans keep 2 (N = 3, 16 free monomials) or 6 (N = 4,
-    # 10 free monomials) rows and recompute the other 21 or 113 for each
-    # family that reaches them.
-    monkeypatch.setattr(search, "_ROW_BITS", 600)
-    assert run() == kept
+    # With 600 bits the N = 3 spaces (16 free monomials) keep 3 lanes and
+    # take the other 21 permutations from the image table (336 entries),
+    # and the N = 4 spaces (10 free monomials) keep 7 lanes and recompute
+    # the other 113 (1,130 entries would pass the cap) for each family that
+    # reaches them.  With 300 bits the N = 3 spaces keep 2 lanes and
+    # recompute the other 22 (352 entries), and the N = 4 spaces keep 4.
+    for bits in (600, 300):
+        monkeypatch.setattr(search, "_ROW_BITS", bits)
+        assert run() == kept
+
+
+# Each space at caps that take every route of the filter past block 0:
+# (cap, lanes kept, permutations in the image table).  A cap of 0 keeps no
+# lane and no table, so every permutation but the identity is recomputed.
+# (2, 6, n) has F = 25: 300 bits keep no lane and a table of the other 5
+# permutations, 700 bits 2 lanes and a table of 4.  (3, 3, n) has F = 16,
+# (4, 2, n) F = 10, and no cap gives them a table without lanes.
+ROUTES = {
+    (2, 6, 7): [(0, 0, 0), (300, 0, 5), (700, 2, 4)],
+    (2, 6, 8): [(0, 0, 0), (300, 0, 5), (700, 2, 4)],
+    (3, 3, 8): [(0, 0, 0), (300, 2, 0), (600, 3, 21)],
+    (4, 2, 9): [(0, 0, 0), (600, 7, 0), (1100, 12, 108)],
+}
+
+
+@pytest.mark.parametrize("triple", list(ROUTES), ids=str)
+def test_every_filter_route_gives_identical_searches(monkeypatch, triple):
+    def run():
+        records = []
+        report = exhaustive_search(*triple, progress=records.append)
+        return json.dumps([report.to_json_dict(), records])
+
+    kept = run()
+    built = []
+
+    class Recorded(search._Space):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(search, "_Space", Recorded)
+    for bits, lanes, height in ROUTES[triple]:
+        monkeypatch.setattr(search, "_ROW_BITS", bits)
+        assert run() == kept
+        space = built.pop()
+        assert (space.lanes, space.height) == (lanes, height)
+        # Where the table covers every permutation past the lanes, whole
+        # partitions take the orderly tree; where it misses one, they walk.
+        assert (space.held is not None) == (height > 0)
+
+
+def test_the_image_table_is_capped_and_filled_on_first_use():
+    # 9 2 11 would need 3,626,728 permutations past its 2,072 lanes times
+    # 45 free monomials, past the cap; 7 2 12 keeps 34,970 times 28.
+    # Neither fills a column before a family asks.
+    wide, narrow = search._Space(9, 2, 11), search._Space(7, 2, 12)
+    assert wide.lanes < wide.perm_count and wide.height == 0
+    assert narrow.height == narrow.perm_count - narrow.lanes == 34_970
+    assert wide.table is None and narrow.table is None
+    # 4 14 7 keeps no lane for its 3,055 free monomials, and a table of the
+    # other 119 permutations: a budget-1 scan fills the columns of its
+    # family's k = 2 chosen monomials at most.
+    space = search._Space(4, 14, 7)
+    assert (space.lanes, space.height) == (0, 119)
+    space.scan((0, 0, 1))
+    assert len(space.table) == 119 * 3055
+    assert 0 < sum(space.filled) <= space.k
 
 
 @given(st.data())
