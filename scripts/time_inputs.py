@@ -2,6 +2,7 @@
 """Time the runs that no benchmark workload reaches: whole searches,
 budgeted searches of spaces past the orbit filter's lanes or past
 ``criterion.GRID_LIMIT``, the whole search over the widest image table,
+a whole search past the grid limit that no status floor shortens,
 and the plane sweep at d = 40.  Each input runs
 in a child process R times, and its line gives the median wall time, the
 range and the SHA-256 of the child's stdout, so that a speed claim also
@@ -40,7 +41,9 @@ _SEARCH = ["-m", "syzstab.cli", "search"]
 #: name: the child's arguments after the interpreter, run from a checkout's
 #: root.  The first five searches run whole; 4 14 7 and 3 27 6 lie past
 #: the lanes, 2 90 5 past the grid limit.  Whole 2 600 4 walks the widest
-#: image table, F = 180,898 free monomials at k = 1.
+#: image table, F = 180,898 free monomials at k = 1.  Whole 1 800 4 lies
+#: past the grid limit and has no semistable family, so every
+#: representative takes a status.
 INPUTS = {
     "search-3-4-10": [*_SEARCH, "3", "4", "10"],
     "search-4-3-13": [*_SEARCH, "4", "3", "13"],
@@ -51,6 +54,7 @@ INPUTS = {
     "search-3-27-6": [*_SEARCH, "3", "27", "6", "--budget", "1000000"],
     "search-2-90-5": [*_SEARCH, "2", "90", "5", "--budget", "3000000"],
     "search-2-600-4": [*_SEARCH, "2", "600", "4"],
+    "search-1-800-4": [*_SEARCH, "1", "800", "4"],
     "sweep-2-40": [
         "scripts/run_sweep.py", "--dims", "2", "--d-min", "40", "--d-max", "40"
     ],

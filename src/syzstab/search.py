@@ -116,13 +116,21 @@ closed-cell scan there as ``check_efficient`` would.  Either way, any
 candidate with a negative margin (d-t)*n + t - d*k makes the family
 unstable, else any candidate at all semistable-only, else it is stable.
 The status is bounded by the best found so far, as in branch and bound
-(A. H. Land and A. G. Doig, Econometrica 28, 1960): once a partition's best
-is stable, a representative whose M(C) is not above the best's takes no
+(A. H. Land and A. G. Doig, Econometrica 28, 1960): once the best is
+stable, a representative whose M(C) is not above the best's takes no
 status, since no lower rank displaces it and a stable family of smaller
-M(C), whose sorted exponent sequence is larger, loses the tie.  The bound
-stays within one partition, so a pool worker's result is the partition's
-own.  Only the reported best family, and a resume token's, is built as a
-``MonomialFamily``.
+M(C), whose sorted exponent sequence is larger, loses the tie.  Every
+family of a search holds k chosen indices, and for sets of one size,
+comparing the indices as descending tuples orders them as M(C) does
+(colex order), so the key is ``chosen[::-1]``, not the integer.  The
+bound is one floor per search: a serial search scans each partition under
+the key of the best merged from those before it, so a partition reports
+only a stable family above that floor, or (0, None), and the merged best
+is the same.  A resumed run starts from the floor of its token's best,
+and every pool job from the floor known when the pool starts, the
+token's or none, so a pooled or resumed search reports what the serial
+one does.  Only the reported best family, and a resume token's, is built
+as a ``MonomialFamily``.
 
 ``ProcessPoolExecutor`` is imported only when a search runs on more than
 one worker, so a serial search never loads ``multiprocessing``.
@@ -135,7 +143,7 @@ import os
 from array import array
 from bisect import bisect_right
 from contextlib import nullcontext
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, islice, permutations, repeat
 from math import comb, factorial, inf
 from operator import add, itemgetter
 from typing import Callable, Iterator, Optional
@@ -503,7 +511,18 @@ class _Space:
             if not (carried := D + step) & guards and passes_rest(chosen := (c, *S))
         ]
 
-    def scan(self, job: tuple[int, ...]) -> tuple[int, int, tuple]:
+    def floor(self, result: tuple) -> Optional[tuple[int, ...]]:
+        """The key a (rank, exponents) result sets as the status floor:
+        the free indices of a stable result's members, descending, or
+        None if it is not stable."""
+        if result[0] != 2:
+            return None
+        index = self.index
+        return tuple(sorted((index[e] for e in result[1] if e in index), reverse=True))
+
+    def scan(
+        self, job: tuple[int, ...], floor: Optional[tuple[int, ...]]
+    ) -> tuple[int, int, tuple]:
         """Enumerate one partition, ``job = (partition, skip, limit)``:
         from offset ``skip``, ``limit`` families of k chosen free
         monomials.  A whole partition takes its representatives from the
@@ -511,9 +530,12 @@ class _Space:
         job from the walk; both yield them in lexicographic order.  Return
         (families, orbits, best (rank, exponents) result).  Among families
         of one rank the best has the smallest sorted exponent sequence,
-        that is the largest M(C) (module docstring), so its exponents are
-        built once, at the end.  Once the best is stable, a representative
-        of no larger M(C) is counted but takes no status."""
+        that is the largest key, its chosen indices descending (module
+        docstring), so its exponents are built once, at the end.  Once the
+        best is stable, or from the start under ``floor``, the key of a
+        stable best found before the job, a representative of no larger
+        key is counted but takes no status, and one of larger key counts
+        only if stable; a job that finds no such family returns (0, None)."""
         held = self.held_sets(job)
         if held is None:
             found = self.walk(job)
@@ -521,23 +543,25 @@ class _Space:
             found = map(itemgetter(0), self.children(held, job[0]))
         status = self.status
         orbits = 0
-        best_rank, best_key, best = 0, -1, ()
+        best_rank, best_key, best = 0, (), None
+        if floor is not None:
+            best_rank, best_key = 2, floor
         for chosen in found:
             orbits += 1
             if best_rank == 2:
                 # The bound: only a stable family of larger key displaces a
                 # stable best, so no smaller key needs its status.
-                key = sum(map((1).__lshift__, chosen))
+                key = chosen[::-1]
                 if key > best_key and status(chosen) == 2:
                     best_key, best = key, chosen
                 continue
             rank = status(chosen)
             if rank and rank >= best_rank:
-                key = sum(map((1).__lshift__, chosen))
+                key = chosen[::-1]
                 if rank > best_rank or key > best_key:
                     best_rank, best_key, best = rank, key, chosen
         families = job[2]
-        if not best_rank:
+        if best is None:
             return families, orbits, (0, None)
         exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
         return families, orbits, (best_rank, exps)
@@ -574,8 +598,21 @@ def _start_worker(N: int, d: int, n: int) -> None:
     _worker_space = _Space(N, d, n)
 
 
-def _scan_in_worker(job: tuple[int, ...]) -> tuple[int, int, tuple]:
-    return _worker_space.scan(job)
+def _scan_in_worker(job: tuple[int, ...], best: tuple) -> tuple[int, int, tuple]:
+    return _worker_space.scan(job, _worker_space.floor(best))
+
+
+def _scan_serially(space: _Space, plan: list, best: tuple) -> Iterator[tuple]:
+    """Each job's ``scan`` result, in plan order, under the floor of
+    ``best`` merged with the results before it.  Under a floor a job
+    reports a stable family only above it, and without one the merged
+    best is not stable, so a stable result is the new merged best."""
+    floor = space.floor(best)
+    for job in plan:
+        result = space.scan(job, floor)
+        if result[2][0] == 2:
+            floor = space.floor(result[2])
+        yield result
 
 
 def _partition(free_count: int, k: int, idx: int) -> tuple[int, int]:
@@ -753,9 +790,10 @@ def exhaustive_search(
         )
     with pool as executor:
         if executor:
-            results = executor.map(_scan_in_worker, plan)
+            # Every job takes the floor of the best known as the pool starts.
+            results = executor.map(_scan_in_worker, plan, repeat(best))
         else:
-            results = map(_Space(N, d, n).scan, plan) if plan else ()
+            results = _scan_serially(_Space(N, d, n), plan, best) if plan else ()
         for job, (fams, orbs, found) in zip(plan, results):
             families += fams
             orbits += orbs

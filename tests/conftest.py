@@ -46,8 +46,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     # The pool class is looked up only when more than one worker runs.  Its
     # initializer builds the worker's space, here in this process.

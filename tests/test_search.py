@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 import weakref
-from itertools import combinations, islice, permutations
+from itertools import combinations, count, islice, permutations
 from math import comb
 from unittest.mock import patch
 
@@ -77,33 +77,62 @@ def test_budget_truncation_and_resume():
     assert second.best_family == full.best_family
 
 
-def test_resume_in_many_small_hops():
-    full = exhaustive_search(2, 3, 6)
-    token = None
-    report = None
-    for hop in range(1, 100):
-        # The budget counts cumulatively across resumed runs, so each hop
-        # raises it by five to advance five fresh families.
-        report = exhaustive_search(2, 3, 6, budget=5 * hop, resume_token=token)
-        if report.exhausted:
-            break
-        state = json.loads(report.resume_token)
-        assert state["families_examined"] == report.families_examined == 5 * hop
-        token = report.resume_token
-    assert report.exhausted
-    assert report.families_examined == full.families_examined
-    assert report.best_status == full.best_status
-    assert report.best_family == full.best_family
+def test_resume_in_many_small_hops(monkeypatch):
+    # A resumed search starts from the floor of its token's stable best,
+    # which is the floor the whole run carries at that position, inside a
+    # partition or between two: the hops hand ``status`` the same
+    # representatives, in the same order, and end in the same report.
+    checks = []
+    status = search._Space.status
+
+    def counting_status(space, chosen):
+        checks.append(chosen)
+        return status(space, chosen)
+
+    monkeypatch.setattr(search._Space, "status", counting_status)
+    for triple, step in [((2, 3, 6), 5), ((2, 5, 7), 211), ((3, 3, 12), 997)]:
+        checks.clear()
+        full = exhaustive_search(*triple)
+        whole = checks[:]
+        checks.clear()
+        token = None
+        for hop in count(1):
+            # The budget counts cumulatively across resumed runs, so each
+            # hop raises it by one step to advance that many fresh families.
+            report = exhaustive_search(*triple, budget=step * hop, resume_token=token)
+            if report.exhausted:
+                break
+            state = json.loads(report.resume_token)
+            assert state["families_examined"] == report.families_examined == step * hop
+            token = report.resume_token
+        assert hop > 3
+        assert checks == whole
+        assert report == full
 
 
-def test_parallel_jobs_match_serial():
-    serial = exhaustive_search(2, 3, 7)
-    parallel = exhaustive_search(2, 3, 7, jobs=3)
-    assert serial == parallel
+def test_parallel_jobs_match_serial(monkeypatch):
+    # Pool jobs take no floor from one another, only the resume token's, so
+    # a partition's own result may differ from the serial path's; the
+    # merged reports, progress records and tokens are the same.  Each search is
+    # cut where its best is stable and resumed, serially and on the pool,
+    # from the same token.
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
 
-    serial_cut = exhaustive_search(2, 3, 7, budget=40)
-    parallel_cut = exhaustive_search(2, 3, 7, budget=40, jobs=3)
-    assert serial_cut == parallel_cut
+    def run(triple, **options):
+        records = []
+        report = exhaustive_search(*triple, progress=records.append, **options)
+        return report, records
+
+    cuts = [((2, 3, 7), 25), ((2, 5, 7), 1500), ((3, 3, 12), 5000), ((3, 4, 10), 20000)]
+    for triple, budget in cuts:
+        assert run(triple) == run(triple, jobs=3)
+        serial_cut, records = run(triple, budget=budget)
+        assert not serial_cut.exhausted
+        assert (serial_cut, records) == run(triple, budget=budget, jobs=3)
+        token = serial_cut.resume_token
+        assert json.loads(token)["best_status"] == Stability.STABLE.value
+        resumed = run(triple, budget=2 * budget, resume_token=token)
+        assert resumed == run(triple, budget=2 * budget, resume_token=token, jobs=3)
 
 
 def test_progress_reports_partitions():
@@ -144,6 +173,27 @@ def test_worker_count_is_capped_at_partitions_and_cpus(serial_pool):
     # partition, so no pool at all.
     assert exhaustive_search(2, 2, 3, jobs=8).exhausted
     assert serial_pool == [2]
+
+
+def test_pool_jobs_start_from_the_token_floor(serial_pool, monkeypatch):
+    # Resumed from a token whose best is stable, every pool job hands
+    # ``status`` only representatives above that best's key.
+    token = exhaustive_search(3, 3, 12, budget=5000).resume_token
+    best = json.loads(token)["best_family"]
+    space = search._Space(3, 3, 12)
+    floor = sum(1 << space.index[tuple(e)] for e in best if tuple(e) in space.index)
+    checks = []
+    status = search._Space.status
+
+    def counting_status(space, chosen):
+        checks.append(chosen)
+        return status(space, chosen)
+
+    monkeypatch.setattr(search._Space, "status", counting_status)
+    pooled = exhaustive_search(3, 3, 12, resume_token=token, jobs=2)
+    assert serial_pool == [2]
+    assert checks and all(sum(1 << c for c in chosen) > floor for chosen in checks)
+    assert pooled == exhaustive_search(3, 3, 12, resume_token=token)
 
 
 def test_orbit_reduction_is_sound():
@@ -318,14 +368,17 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
             assert lane_filter(chosen, space) == sorted_sequence_is_minimal(exps, perms)
 
 
-def reference_scan(space, job, is_minimal):
+def reference_scan(space, job, is_minimal, floor):
     """``_Space.scan`` as a plain loop: every family of the job from
     ``combinations`` and ``islice``, tested by ``is_minimal``, and every
     representative's status from ``space.status``.  The best is kept twice:
     over every status, and under the bound, which passes over a
-    representative whose key M(C) is not above a stable best's; the two
-    must agree.  Return the scan's result and the representatives the bound
-    lets through, in order."""
+    representative whose key M(C) is not above a stable best's, or above
+    ``floor``, the integer key M(C) of a stable best found before the job,
+    if there is one.  The bounded best is the best over every status where
+    no floor is given or that best is stable above it, else nothing.
+    Return the scan's result and the representatives the bound lets
+    through, in order."""
     partition, skip, limit = job
     k = space.k
     if k == 0:
@@ -334,7 +387,8 @@ def reference_scan(space, job, is_minimal):
         tails = combinations(range(partition + 1, len(space.free)), k - 1)
     families = orbits = 0
     passed = []
-    best = bounded = (0, -1, ())
+    best = (0, -1, None)
+    bounded = best if floor is None else (2, floor, None)
     for tail in islice(tails, skip, skip + limit):
         families += 1
         chosen = (partition, *tail) if k else ()
@@ -350,23 +404,40 @@ def reference_scan(space, job, is_minimal):
         passed.append(chosen)
         if rank and (rank, key) > bounded[:2]:
             bounded = (rank, key, chosen)
-    assert bounded == best
-    best_rank, _, best = best
-    if not best_rank:
+    if floor is None or best[:2] > (2, floor):
+        assert bounded == best
+    else:
+        assert bounded == (2, floor, None)
+    best_rank, _, best = bounded
+    if best is None:
         return (families, orbits, (0, None)), passed
     exps = tuple(sorted(space.pure_exps + [space.free[c] for c in best]))
     return (families, orbits, (best_rank, exps)), passed
 
 
+def integer_key(floor):
+    """The reference's key M(C) of a scan's floor, its chosen indices
+    descending, or None for no floor."""
+    return None if floor is None else sum(1 << c for c in floor)
+
+
 def statuses_under_the_bound(N, d, n):
     """The representatives that a whole search of (N, d, n), k >= 1, hands
-    to ``status``, in order: ``reference_scan`` over every partition."""
+    to ``status``, in order: ``reference_scan`` over every partition, each
+    under the floor of the best merged from the partitions before it, as a
+    serial search carries it."""
     space = search._Space(N, d, n)
     free_count, k = len(space.free), space.k
     passed = []
+    best = (0, None)
     for p in range(free_count - k + 1):
         job = (p, 0, comb(free_count - 1 - p, k - 1))
-        passed += reference_scan(space, job, lane_filter)[1]
+        floor = None
+        if best[0] == 2:
+            floor = sum(1 << space.index[e] for e in best[1] if e in space.index)
+        (_, _, found), got = reference_scan(space, job, lane_filter, floor)
+        passed += got
+        best = search._better(best, found)
     return passed
 
 
@@ -392,14 +463,14 @@ def test_searches_match_the_sorted_sequence_filter(monkeypatch):
     # searches are serial, so each examined family is tested here, once.
     tested = []
 
-    def scan(space, job):
+    def scan(space, job, floor):
         is_minimal = sorted_sequence_filter(space.N)
 
         def counted(chosen, space):
             tested.append(chosen)
             return is_minimal(chosen, space)
 
-        return reference_scan(space, job, counted)[0]
+        return reference_scan(space, job, counted, integer_key(floor))[0]
 
     monkeypatch.setattr(search._Space, "scan", scan)
     reference, examined = zip(*(run(*args) for args in runs))
@@ -407,9 +478,9 @@ def test_searches_match_the_sorted_sequence_filter(monkeypatch):
     assert len(tested) == sum(examined) > 0
 
 
-def scan_recorded(space, job):
-    """``space.scan(job)`` and the chosen tuples it hands to ``status``, in
-    order."""
+def scan_recorded(space, job, floor=None):
+    """``space.scan(job, floor)`` and the chosen tuples it hands to
+    ``status``, in order."""
     checked = []
     status = space.status
 
@@ -419,7 +490,7 @@ def scan_recorded(space, job):
 
     space.status = recorded
     try:
-        return space.scan(job), checked
+        return space.scan(job, floor), checked
     finally:
         del space.status
 
@@ -446,11 +517,20 @@ def test_walk_matches_the_reference_loop(data):
         whole = families - skip
         limit = data.draw(st.sampled_from([whole, data.draw(st.integers(1, whole))]))
         job = (partition, skip, min(limit, 40))
+    # No floor, or the key of any k free indices, as a stable best found
+    # before the job would set it.
+    floor = None
+    if data.draw(st.booleans(), label="floor"):
+        chosen = data.draw(st.sets(st.sampled_from(range(free_count)), min_size=k,
+                                   max_size=k) if k else st.just(set()))
+        floor = tuple(sorted(chosen, reverse=True))
     with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
         expected, passed = reference_scan(
-            search._Space(N, d, N + 1 + k), job, sorted_sequence_filter(N)
+            search._Space(N, d, N + 1 + k), job, sorted_sequence_filter(N),
+            integer_key(floor),
         )
-        assert scan_recorded(search._Space(N, d, N + 1 + k), job) == (expected, passed)
+        got = scan_recorded(search._Space(N, d, N + 1 + k), job, floor)
+        assert got == (expected, passed)
 
 
 @given(st.data())
@@ -488,19 +568,25 @@ def test_tree_matches_the_walk_on_whole_partitions(data):
 
 def test_partition_below_the_tree_walks():
     # Searches hand a space ascending partitions, so none asks for a whole
-    # partition below the one the tree was built for; such a job walks.
+    # partition below the one the tree was built for; such a job walks,
+    # here under the floor that the later partition's stable best sets.
     N, d, n = 3, 3, 12
     free_count, k = len(search._free_monomials(N, d)), n - (N + 1)
     later, first = ((p, 0, comb(free_count - 1 - p, k - 1)) for p in (2, 0))
     space = search._Space(N, d, n)
-    space.scan(later)
+    floor = space.floor(space.scan(later, None)[2])
+    assert floor is not None
     assert space.tree_from == 2 and space.held is not None
     assert space.held_sets(first) is None
     fresh = search._Space(N, d, n)
-    got = space.scan(first)
+    got = scan_recorded(space, first, floor)
     assert fresh.held_sets(first) is not None
-    assert got == fresh.scan(first)
-    assert got[:2] == (6435, 226)
+    assert got == scan_recorded(fresh, first, floor)
+    reference = reference_scan(
+        search._Space(N, d, n), first, lane_filter, integer_key(floor)
+    )
+    assert got == reference
+    assert got[0][:2] == (6435, 226)
 
 
 def test_tree_path_streams_and_pools_like_the_walk(monkeypatch):
@@ -625,8 +711,8 @@ def test_search_builds_one_space_and_keeps_nothing(monkeypatch):
     tables = []
 
     class Tabled(Recorded):
-        def scan(self, job):
-            found = super().scan(job)
+        def scan(self, job, floor):
+            found = super().scan(job, floor)
             tables.append(weakref.ref(self.table))
             return found
 
@@ -716,7 +802,7 @@ def test_the_image_table_is_capped_and_filled_on_first_use():
     # family's k = 2 chosen monomials at most.
     space = search._Space(4, 14, 7)
     assert (space.lanes, space.height) == (0, 119)
-    space.scan((0, 0, 1))
+    space.scan((0, 0, 1), None)
     assert len(space.table) == 119 * 3055
     assert 0 < sum(space.filled) <= space.k
 
@@ -799,10 +885,10 @@ def test_searches_past_the_grid_limit_check_each_family(monkeypatch, triple):
 
 
 def test_the_bound_skips_statuses_that_cannot_win(monkeypatch):
-    # Once a partition's best is stable, a representative of smaller key
-    # M(C) takes no status, and orbits_examined still counts it: 100
-    # statuses for 584 representatives, and past the limit 69 closed-cell
-    # scans for 373.
+    # Once the search's best is stable, a representative of smaller key
+    # M(C), in its partition or a later one, takes no status, and
+    # orbits_examined still counts it: 25 statuses for 584 representatives,
+    # and past the limit 20 closed-cell scans for 373.
     statuses = []
     status = search._Space.status
 
@@ -812,7 +898,7 @@ def test_the_bound_skips_statuses_that_cannot_win(monkeypatch):
 
     monkeypatch.setattr(search._Space, "status", counting)
     assert exhaustive_search(3, 3, 12).orbits_examined == 584
-    assert len(statuses) == 100
+    assert len(statuses) == 25
     scans = []
     closed_cells = criterion._closed_cells
 
@@ -823,7 +909,46 @@ def test_the_bound_skips_statuses_that_cannot_win(monkeypatch):
     monkeypatch.setattr(criterion, "_closed_cells", counting_scans)
     monkeypatch.setattr(criterion, "GRID_LIMIT", 80)
     assert exhaustive_search(3, 3, 14).orbits_examined == 373
-    assert len(scans) == 69
+    assert len(scans) == 20
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_floor_reports_the_best_of_every_status(data):
+    # Any (N <= 3, d <= 4, n), cut at a random budget, and resumed from a
+    # token at a random earlier budget where it is cut there: the search
+    # reports the best that a plain reference finds, which takes every
+    # family in lexicographic order, keeps the representatives by the
+    # definition and asks ``check_efficient`` for the status of each.
+    N = data.draw(st.sampled_from([1, 2, 3]), label="N")
+    d = data.draw(st.sampled_from([1, 2, 3, 4]), label="d")
+    n = data.draw(st.sampled_from(range(2, comb(N + d, N) + 1)), label="n")
+    budget = data.draw(st.sampled_from(range(1, 1501)), label="budget")
+    first = data.draw(st.sampled_from(range(1, budget + 1)), label="first budget")
+    report = exhaustive_search(N, d, n, first)
+    if not report.exhausted and first < budget:
+        report = exhaustive_search(N, d, n, budget, resume_token=report.resume_token)
+    free = search._free_monomials(N, d)
+    pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
+    perms = list(permutations(range(N + 1)))
+    ranks = [Stability.UNSTABLE, Stability.SEMISTABLE_ONLY, Stability.STABLE]
+    families = orbits = 0
+    best = (0, None)
+    k = n - (N + 1)
+    candidates = combinations(range(len(free)), k) if k >= 0 else ()
+    for chosen in islice(candidates, budget):
+        families += 1
+        exps = tuple(sorted(pure + [free[c] for c in chosen]))
+        if not sorted_sequence_is_minimal(exps, perms):
+            continue
+        orbits += 1
+        rank = ranks.index(check_efficient(MonomialFamily.of(exps)).status)
+        if rank > best[0] or (rank and rank == best[0] and exps < best[1]):
+            best = (rank, exps)
+    assert (report.families_examined, report.orbits_examined) == (families, orbits)
+    assert report.best_status == (ranks[best[0]].value if best[0] else NONE_SEMISTABLE)
+    expected = None if best[1] is None else MonomialFamily.of(best[1])
+    assert report.best_family == expected
 
 
 @pytest.mark.parametrize("past_limit", [False, True], ids=["masks", "past-limit"])
