@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the runs that no benchmark workload reaches: whole searches,
-budgeted searches of spaces past the orbit filter's lanes or past
+among them one at N = 5 whose lanes take several blocks, budgeted
+searches of spaces past the orbit filter's lanes or past
 ``criterion.GRID_LIMIT``, the whole search over the widest image table,
 a whole search past the grid limit that no status floor shortens,
 and the plane sweep at d = 40.  Each input runs
@@ -39,17 +40,19 @@ ROOT = Path(__file__).resolve().parents[1]
 _SEARCH = ["-m", "syzstab.cli", "search"]
 
 #: name: the child's arguments after the interpreter, run from a checkout's
-#: root.  The first five searches run whole; 4 14 7 and 3 27 6 lie past
-#: the lanes, 2 90 5 past the grid limit.  Whole 2 600 4 walks the widest
-#: image table, F = 180,898 free monomials at k = 1.  Whole 1 800 4 lies
-#: past the grid limit and has no semistable family, so every
-#: representative takes a status.
+#: root.  The first six searches run whole; 5 4 9 keeps 292 lanes, in 3
+#: blocks, and an image table of the other 428 permutations.  4 14 7 and
+#: 3 27 6 lie past the lanes, 2 90 5 past the grid limit.  Whole 2 600 4
+#: walks the widest image table, F = 180,898 free monomials at k = 1.
+#: Whole 1 800 4 lies past the grid limit and has no semistable family,
+#: so every representative takes a status.
 INPUTS = {
     "search-3-4-10": [*_SEARCH, "3", "4", "10"],
     "search-4-3-13": [*_SEARCH, "4", "3", "13"],
     "search-2-6-8": [*_SEARCH, "2", "6", "8"],
     "search-7-2-12": [*_SEARCH, "7", "2", "12"],
     "search-9-2-11": [*_SEARCH, "9", "2", "11"],
+    "search-5-4-9": [*_SEARCH, "5", "4", "9"],
     "search-4-14-7": [*_SEARCH, "4", "14", "7", "--budget", "2000000"],
     "search-3-27-6": [*_SEARCH, "3", "27", "6", "--budget", "1000000"],
     "search-2-90-5": [*_SEARCH, "2", "90", "5", "--budget", "3000000"],

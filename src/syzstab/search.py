@@ -39,7 +39,13 @@ stays set exactly where M(pi(C)) > M(C).  A block of lanes keeps
 ``diff[c] = packed[c] - (ones << c)`` instead, ``ones`` holding 1 in
 every lane, so that ``bias + sum of diff[c] over c in C``, with ``bias``
 the guards minus ``ones``, is that same integer, and no family needs
-M(C) to be tested.
+M(C) to be tested.  This is SIMD within a register (L. Lamport, "Multiple
+byte processing with full-word instructions", CACM 18(8), 1975).  Each
+``packed[c]`` is built in one pass, one ``int(s, 2)`` of a string s that
+joins, a lane at a time from the top lane down, the image's unit: F+1
+binary digits with a single 1 at its index.  A block holds 120 = 5!
+lanes, so every permutation of N <= 4 fits one block wherever the lanes
+cover them, and block 0 then decides the filter alone.
 
 The permutations past the kept lanes take the image table where they
 number at most ``_ROW_BITS`` / F.  It holds, for each free
@@ -145,7 +151,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from itertools import accumulate, islice, permutations, repeat
 from math import comb, factorial, inf
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from . import criterion
@@ -187,10 +193,12 @@ _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 #: its chosen indices only.
 _ROW_BITS = 1 << 22
 
-#: Lanes per block of the orbit filter.  A block is built the first time a
+#: Lanes per block of the orbit filter: 5! = 120, so that the (N+1)! <= 120
+#: permutations of N <= 4 fit one block wherever the lanes cover them, and
+#: block 0 alone decides the filter.  A block is built the first time a
 #: family reaches it, so a family rejected by an early block never pays for
 #: the later ones.
-_BLOCK = 32
+_BLOCK = 120
 
 #: Most sets that one level of the orderly tree may hold, about 300 bytes
 #: each at N = 4 (two levels are held while the next one grows); past it
@@ -243,11 +251,21 @@ class _Space:
         # permutation beside it, since every lane costs about F^2 bits.
         self.lanes = min(keep + 1, self.perm_count) if keep else 0
         self.block_count = -(-self.lanes // _BLOCK)
+        # Where block 0 holds every permutation, a family it lets through
+        # is a representative: the walk and the tree never ask passes_rest.
+        self.one_block = self.block_count == 1 and self.lanes == self.perm_count
         self.width = free_count + 1
         self.blocks: list[tuple[list[int], int, int]] = []
         # Each free monomial's images under the permutations, in the order
         # of permutations(range(N + 1)); each block takes the next ones.
         self._images = [permutations(e) for e in self.free] if self.lanes else []
+        # Each free monomial's unit: F+1 binary digits with a single 1 at
+        # its index, keyed by the exponent tuple that ``permutations``
+        # yields.  Kept until the last block is built.
+        self._units: Optional[dict] = None
+        if self.lanes:
+            digits = "0" * free_count + "1" + "0" * free_count
+            self._units = {e: digits[i:i + self.width] for i, e in enumerate(self.free)}
         # Block 0 and the prefix sums of its diffs, as ``first_block`` gives.
         self.first: Optional[tuple] = None
         # The image table: column c holds the image index of free[c] under
@@ -279,19 +297,22 @@ class _Space:
         ``diffs[c]`` is ``packed[c] - (ones << c)``, ``packed[c]`` holding
         ``1 << index(pi(free[c]))`` in the lane of each of the block's
         permutations pi, ``ones`` a 1 in each lane, ``guards`` the top bit
-        of each lane, and ``bias`` is ``guards - ones``.  Block 0 also
-        sets ``first``: itself and ``sums``, the prefix sums of its diffs."""
+        of each lane, and ``bias`` is ``guards - ones``.  Each ``packed[c]``
+        is one ``int(s, 2)``, s joining the units of its images, lanes in
+        reverse so that lane 0 takes the low bits.  Block 0 also sets
+        ``first``: itself and ``sums``, the prefix sums of its diffs."""
         count = min(_BLOCK, self.lanes - len(self.blocks) * _BLOCK)
-        shifts = range(0, count * self.width, self.width)
-        ones = sum(map((1).__lshift__, shifts))
-        image_index = self.index.__getitem__
-        diffs = [
-            sum(map((1).__lshift__, map(add, map(image_index, islice(images, count)), shifts)))
-            - (ones << c)
-            for c, images in enumerate(self._images)
-        ]
+        ones = int("1".rjust(self.width, "0") * count, 2)
+        unit = self._units.__getitem__
+        diffs = []
+        for c, images in enumerate(self._images):
+            row = list(map(unit, islice(images, count)))
+            row.reverse()
+            diffs.append(int("".join(row), 2) - (ones << c))
         guards = ones << (self.width - 1)
         self.blocks.append((diffs, guards, guards - ones))
+        if len(self.blocks) == self.block_count:
+            self._units = self._images = None
         if len(self.blocks) == 1:
             self.first = (*self.blocks[0], list(accumulate(diffs, initial=0)))
 
@@ -389,7 +410,7 @@ class _Space:
             return
         free_count = len(self.free)
         diffs, guards, bias, sums = self.first_block()
-        passes_rest = self.passes_rest
+        one_block, passes_rest = self.one_block, self.passes_rest
         first = (partition, *_unrank(skip, k - 1, partition + 1, free_count))
         prefix, low = list(first[:-1]), first[-1]
         # Runs of the prefix: positions from starts[r] on hold consecutive
@@ -415,7 +436,7 @@ class _Space:
             for c in range(low, high):
                 if not (carried + diffs[c]) & guards:
                     chosen = (*prefix, c)
-                    if passes_rest(chosen):
+                    if one_block or passes_rest(chosen):
                         yield chosen
             if not remaining:
                 return
@@ -500,7 +521,7 @@ class _Space:
         diffs, guards, _, _ = self.first_block()
         step = diffs[c]
         above = islice(level, bisect_right(level, c, key=_smallest), None)
-        if self.block_count == 1 and self.lanes == self.perm_count:
+        if self.one_block:
             return [
                 ((c, *S), carried)
                 for S, D in above if not (carried := D + step) & guards

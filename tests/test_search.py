@@ -8,7 +8,7 @@ from math import comb
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzstab import criterion, search
@@ -335,11 +335,12 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
     index = {v: i for i, v in enumerate(free)}
     pure = [tuple(d if i == j else 0 for i in range(N + 1)) for j in range(N + 1)]
     perms = list(permutations(range(N + 1)))
-    # Blocks of 1, 2 or 32 lanes.  The identity's lane comes first, so caps
-    # keeping 1, 2, 3 or 40 permutations make 2, 3, 4 or 41 lanes (at most
-    # (N+1)!), and 3 and 41 end partway through a block of 2 or 32.  A cap
-    # of one bit keeps none.  Permutations past the cap are recomputed.
-    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    # Blocks of 1, 2, 32 or 120 lanes.  The identity's lane comes first, so
+    # caps keeping 1, 2, 3 or 40 permutations make 2, 3, 4 or 41 lanes (at
+    # most (N+1)!), and 3 and 41 end partway through a block of 2, 32 or
+    # 120.  A cap of one bit keeps none.  Permutations past the cap are
+    # recomputed.
+    size = data.draw(st.sampled_from([1, 2, 32, search._BLOCK]), label="block size")
     square = max(len(free), 1) ** 2
     bits = data.draw(st.sampled_from(
         [search._ROW_BITS, 1, square, 2 * square, 3 * square, 40 * square]
@@ -366,6 +367,54 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
             chosen = tuple(sorted(chosen))
             exps = tuple(sorted(pure + [free[c] for c in chosen]))
             assert lane_filter(chosen, space) == sorted_sequence_is_minimal(exps, perms)
+
+
+@given(
+    N=st.integers(1, 5),
+    d=st.integers(1, 4),
+    size=st.sampled_from([1, 2, 32, 120]),
+    scale=st.sampled_from([None, 0, 1, 3, 40, 150]),
+)
+# 292 lanes in blocks of 120, the last one partial.
+@example(N=5, d=4, size=120, scale=None)
+@settings(max_examples=120, deadline=None)
+def test_lanes_are_packed_as_defined(N, d, size, scale):
+    # Every block against its definition, bit by bit: lane j of block b
+    # belongs to permutation b * size + j of permutations(range(N + 1)) and
+    # is F+1 bits wide, and diffs[c] holds 1 << index(pi(free[c])) in the
+    # lane of each pi, less ones << c.  A scale keeps scale * F^2 bits, so
+    # scale + 1 lanes (at most (N+1)!), none at 0; 4 lanes end partway
+    # through a block of 32 or 120, and 41 and 151 through one of 2, 32 or
+    # 120.
+    free = search._free_monomials(N, d)
+    index = {v: i for i, v in enumerate(free)}
+    width = len(free) + 1
+    bits = search._ROW_BITS if scale is None else scale * max(len(free), 1) ** 2
+    with patch.object(search, "_ROW_BITS", bits), patch.object(search, "_BLOCK", size):
+        space = search._Space(N, d, N + 2)
+        while len(space.blocks) < space.block_count:
+            space.grow()
+    kept = list(permutations(range(N + 1)))[:space.lanes]
+    expected = []
+    for start in range(0, len(kept), size):
+        block = kept[start:start + size]
+        ones = sum(1 << lane * width for lane in range(len(block)))
+        diffs = [
+            sum(
+                1 << (lane * width + index[tuple(e[i] for i in pi)])
+                for lane, pi in enumerate(block)
+            ) - (ones << c)
+            for c, e in enumerate(free)
+        ]
+        guards = ones << (width - 1)
+        expected.append((diffs, guards, guards - ones))
+    assert space.blocks == expected
+    if expected:
+        diffs = expected[0][0]
+        sums = [sum(diffs[:c]) for c in range(len(diffs) + 1)]
+        assert space.first == (*expected[0], sums)
+    else:
+        assert space.lanes == 0 and space.first is None
 
 
 def reference_scan(space, job, is_minimal, floor):
@@ -503,8 +552,10 @@ def test_walk_matches_the_reference_loop(data):
     free_count = len(search._free_monomials(N, d))
     square = max(free_count, 1) ** 2
     # A cap of one bit keeps no lane, so every family takes the recompute.
+    # Blocks of 1, 2, 32 or 120 lanes; 2 and 4 lanes end partway through
+    # the larger ones.
     bits = data.draw(st.sampled_from([search._ROW_BITS, 1, square, 3 * square]))
-    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    size = data.draw(st.sampled_from([1, 2, 32, search._BLOCK]), label="block size")
     k = data.draw(st.integers(0, free_count), label="k")
     if k == 0:
         job = (-1, 0, 1)
@@ -541,11 +592,12 @@ def test_tree_matches_the_walk_on_whole_partitions(data):
     free_count = len(search._free_monomials(N, d))
     square = free_count ** 2
     # The default keeps a lane for every permutation, so whole partitions
-    # take the tree; blocks of 1 or 2 lanes put the later blocks in every
-    # tree step.  F^2 and 3F^2 bits keep 2 or 4 lanes, and spaces with more
-    # permutations walk.
+    # take the tree; blocks of 1, 2 or 32 lanes put the later blocks in
+    # every tree step wherever the permutations outnumber them, and blocks
+    # of 120 hold all those of N <= 4 in block 0.  F^2 and 3F^2 bits keep 2
+    # or 4 lanes, and spaces with more permutations walk.
     bits = data.draw(st.sampled_from([search._ROW_BITS, square, 3 * square]))
-    size = data.draw(st.sampled_from([1, 2, search._BLOCK]), label="block size")
+    size = data.draw(st.sampled_from([1, 2, 32, search._BLOCK]), label="block size")
     k = data.draw(st.sampled_from(
         [k for k in range(1, free_count + 1) if comb(free_count, k) <= 20_000]
     ), label="k")
@@ -728,6 +780,30 @@ def test_search_builds_one_space_and_keeps_nothing(monkeypatch):
     assert exhaustive_search(3, 3, 14, progress=pooled.append, jobs=2) == serial
     assert pooled == records
     assert len(built) == 2
+
+
+def test_n_up_to_4_takes_one_block_and_never_asks_passes_rest(monkeypatch):
+    # Every permutation of N <= 4 fits one block of lanes where the lanes
+    # cover them, so block 0 decides the filter alone: no search of the
+    # benchmark census asks passes_rest, and an N = 5 search, whose 720
+    # lanes take 6 blocks, still does.
+    for N, d in ((3, 3), (4, 2), (4, 3), (4, 5)):
+        space = search._Space(N, d, N + 2)
+        assert space.block_count == 1 and space.lanes == space.perm_count
+    asked = []
+
+    class Counted(search._Space):
+        def passes_rest(self, chosen):
+            asked.append(chosen)
+            return super().passes_rest(chosen)
+
+    monkeypatch.setattr(search, "_Space", Counted)
+    for triple in [(3, 3, n) for n in range(12, 20)] + [(4, 2, n) for n in range(9, 15)]:
+        exhaustive_search(*triple)
+    assert asked == []
+    assert search._Space(5, 2, 9).block_count == 6
+    exhaustive_search(5, 2, 9)
+    assert asked
 
 
 @pytest.mark.parametrize("triple", [(3, 3, 14), (3, 3, 17), (4, 2, 10), (4, 2, 12)])
