@@ -3,11 +3,12 @@
 among them one at N = 5 whose lanes take several blocks, budgeted
 searches of spaces past the orbit filter's lanes or past
 ``criterion.GRID_LIMIT``, the whole search over the widest image table,
-a whole search past the grid limit that no status floor shortens,
-and the plane sweep at d = 40.  Each input runs
-in a child process R times, and its line gives the median wall time, the
-range and the SHA-256 of the child's stdout, so that a speed claim also
-shows that the answers did not move.
+a whole search past the grid limit that no status floor shortens, a
+whole search of three monomials past both of the filter's caps, and the
+plane sweep at d = 40.  Each input runs in a child process R times, and
+its line gives the median wall time, the range and the SHA-256 of the
+child's stdout, so that a speed claim also shows that the answers did
+not move.
 
     python3 scripts/time_inputs.py [name ...] [--rounds R] [--against DIR]
 
@@ -45,7 +46,9 @@ _SEARCH = ["-m", "syzstab.cli", "search"]
 #: 3 27 6 lie past the lanes, 2 90 5 past the grid limit.  Whole 2 600 4
 #: walks the widest image table, F = 180,898 free monomials at k = 1.
 #: Whole 1 800 4 lies past the grid limit and has no semistable family,
-#: so every representative takes a status.
+#: so every representative takes a status.  Whole 8 2 12 keeps 3,237
+#: lanes and streams the image columns of the other 359,643 permutations,
+#: three columns zipped for each family that passes the lanes.
 INPUTS = {
     "search-3-4-10": [*_SEARCH, "3", "4", "10"],
     "search-4-3-13": [*_SEARCH, "4", "3", "13"],
@@ -58,6 +61,7 @@ INPUTS = {
     "search-2-90-5": [*_SEARCH, "2", "90", "5", "--budget", "3000000"],
     "search-2-600-4": [*_SEARCH, "2", "600", "4"],
     "search-1-800-4": [*_SEARCH, "1", "800", "4"],
+    "search-8-2-12": [*_SEARCH, "8", "2", "12"],
     "sweep-2-40": [
         "scripts/run_sweep.py", "--dims", "2", "--d-min", "40", "--d-max", "40"
     ],

@@ -27,10 +27,10 @@ never decide it; free monomials are indexed in descending order, so a
 permutation pi gives a smaller sequence exactly when
 M(pi(C)) > M(C), where M(C) = sum of 2^c over c in C.
 
-The filter decides this by three routes: lanes, the image table and the
-recompute.  Lanes decide it for many permutations at once.  Each kept
-permutation pi owns a lane of F+1 bits, F the number of free monomials,
-and ``packed[c]`` holds ``1 << index(pi(free[c]))`` in every lane, so the
+The filter decides this by two routes: lanes, then image columns.
+Lanes decide it for many permutations at once.  Each kept permutation pi
+owns a lane of F+1 bits, F the number of free monomials, and
+``packed[c]`` holds ``1 << index(pi(free[c]))`` in every lane, so the
 sum of ``packed[c]`` over c in C holds M(pi(C)) in each lane, without
 carries, since pi permutes the free indices.  Adding the top bit of each
 lane, the guard, and subtracting (M(C) + 1) from every lane leaves each
@@ -47,13 +47,14 @@ binary digits with a single 1 at its index.  A block holds 120 = 5!
 lanes, so every permutation of N <= 4 fits one block wherever the lanes
 cover them, and block 0 then decides the filter alone.
 
-The permutations past the kept lanes take the image table where they
-number at most ``_ROW_BITS`` / F.  It holds, for each free
-monomial c, a column of the image index of c under each of them, filled
-the first time a family chooses c; a family C passes a permutation when
-its chosen images, sorted descending, do not exceed C sorted descending,
-which is M(pi(C)) <= M(C).  Past that cap they are recomputed at the
-chosen indices, for each family that reaches them.
+The permutations past the kept lanes take image columns: for each chosen
+free monomial c, the image index of c under each of them, in the order of
+``permutations``.  A family C passes a permutation when its chosen images,
+sorted descending, do not exceed C sorted descending, which is
+M(pi(C)) <= M(C).  Where those permutations number at most
+``_ROW_BITS`` / F, the image table keeps each column, filled the first
+time a family chooses c; past that cap the columns are streamed for each
+family that reaches them, and nothing is kept.
 
 A partition's families are walked depth-first in lexicographic order,
 without recursion, from an offset unranked in the combinatorial number
@@ -92,8 +93,8 @@ walk's lexicographic order: the status step sees the same representatives
 in the same order.  A partition cut by the budget or a resume offset
 walks, so offsets and tokens keep their meaning, and so does every
 partition of a space whose lanes and table miss a permutation, where each
-tree node would pay the recompute.  The tree starts at the first whole
-partition and is used only while it is the smaller: its nodes, at most
+tree node would stream its image columns.  The tree starts at the first
+whole partition and is used only while it is the smaller: its nodes, at most
 C(span, k - 1) for the span of indices from that partition on, may
 outnumber the C(span, k) families they serve by at most a factor of
 min((N+1)!, 24) / 6.  Near-full families have long sets that prune
@@ -147,10 +148,10 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from contextlib import nullcontext
 from itertools import accumulate, islice, permutations, repeat
-from math import comb, factorial, inf
+from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -188,9 +189,9 @@ _RANKED = (None, Stability.SEMISTABLE_ONLY.value, Stability.STABLE.value)
 #: F^2 per kept permutation of F free monomials, since the lane of
 #: permutation pi holds M(pi(C)) in F bits and a guard bit above them, in
 #: each packed entry of a block.  The image table: the permutations past
-#: the lanes times F, in 4-byte entries (16 MB), or no table.  Past both,
-#: the permutations are recomputed for each family that reaches them, at
-#: its chosen indices only.
+#: the lanes times F, in 4-byte entries (16 MB), or no table.  The table
+#: only keeps the image columns: past both caps, each family that reaches
+#: the permutations past the lanes streams its chosen columns instead.
 _ROW_BITS = 1 << 22
 
 #: Lanes per block of the orbit filter: 5! = 120, so that the (N+1)! <= 120
@@ -234,10 +235,11 @@ class _Space:
     and image table, the orderly tree's held sets and, where the lattice
     box d^(N+1) fits ``criterion.GRID_LIMIT``, the status masks shared by
     its n-member families.  One is built for each search, or for each
-    worker of a pooled one, and none outlives it.  Lanes are built on
-    first use, so a family rejected by its first block builds no other,
-    table columns the first time a family chooses their monomial, and the
-    tree on the first whole partition."""
+    worker of a pooled one, and none outlives it.  Block 0 is built with
+    the space and later blocks on first use, so a family rejected by an
+    early block builds no later one; table columns are built the first
+    time a family chooses their monomial, and the tree on the first whole
+    partition."""
 
     def __init__(self, N: int, d: int, n: int):
         self.N = N
@@ -266,8 +268,13 @@ class _Space:
         if self.lanes:
             digits = "0" * free_count + "1" + "0" * free_count
             self._units = {e: digits[i:i + self.width] for i, e in enumerate(self.free)}
-        # Block 0 and the prefix sums of its diffs, as ``first_block`` gives.
-        self.first: Optional[tuple] = None
+            # Block 0 and the prefix sums of its diffs, as ``first``.
+            self.grow()
+        else:
+            # With no lane kept, block 0 and its sums are zeros, so every
+            # family passes to the image columns.
+            zeros = bytes(free_count + 1)
+            self.first = (zeros, 0, 0, zeros)
         # The image table: column c holds the image index of free[c] under
         # each of the ``height`` permutations past the lanes, filled the
         # first time a family chooses c.  Height 0 where the lanes cover
@@ -316,25 +323,13 @@ class _Space:
         if len(self.blocks) == 1:
             self.first = (*self.blocks[0], list(accumulate(diffs, initial=0)))
 
-    def first_block(self) -> tuple[list[int], int, int, list[int]]:
-        """Block 0's ``(diffs, guards, bias)`` and ``sums``, built on first
-        use and kept.  With no lanes kept they are zeros, so every family
-        passes to the table or the recompute."""
-        if self.first is None:
-            if self.lanes:
-                self.grow()
-            else:
-                zeros = bytes(len(self.free) + 1)
-                self.first = (zeros, 0, 0, zeros)
-        return self.first
-
     def passes_rest(self, chosen: tuple[int, ...]) -> bool:
         """True iff the chosen free indices C, which block 0 lets through,
-        pass every later block and every permutation past the lanes.
-        Where the image table is kept, its chosen columns are zipped, and
-        a permutation rejects C when its images, sorted descending, exceed
-        C sorted descending, that is M(pi(C)) > M(C); else those
-        permutations are recomputed at the chosen indices."""
+        pass every later block and every permutation past the lanes.  The
+        chosen image columns are zipped, and a permutation rejects C when
+        its images, sorted descending, exceed C sorted descending, that is
+        M(pi(C)) > M(C).  The columns come from the image table where it
+        is kept, and are streamed past its cap."""
         blocks = self.blocks
         for b in range(1, self.block_count):
             if b == len(blocks):
@@ -344,34 +339,33 @@ class _Space:
                 return False
         if self.lanes == self.perm_count:
             return True
-        free, index, height = self.free, self.index, self.height
-        start = max(self.lanes, 1)
+        height = self.height
         if height:
             if self.table is None:
                 # An anonymous mapping's pages are allocated as columns are
                 # written, so a short search pays for the columns it fills.
                 from mmap import mmap
 
-                self.table = memoryview(mmap(-1, 4 * height * len(free))).cast("I")
-                self.filled = bytearray(len(free))
+                self.table = memoryview(mmap(-1, 4 * height * len(self.free))).cast("I")
+                self.filled = bytearray(len(self.free))
             table, filled = self.table, self.filled
             for c in chosen:
                 if not filled[c]:
                     filled[c] = 1
-                    images = islice(permutations(free[c]), start, None)
-                    table[c * height:(c + 1) * height] = array(
-                        "I", map(index.__getitem__, images)
-                    )
-            ordered = sorted(chosen, reverse=True)
+                    table[c * height:(c + 1) * height] = array("I", self.images(c))
             columns = [table[c * height:(c + 1) * height] for c in chosen]
-            return not any(
-                sorted(images, reverse=True) > ordered for images in zip(*columns)
-            )
-        mask = sum(map((1).__lshift__, chosen))
-        for perm in islice(permutations(range(self.N + 1)), start, None):
-            if sum(1 << index[tuple(free[c][i] for i in perm)] for c in chosen) > mask:
-                return False
-        return True
+        else:
+            columns = list(map(self.images, chosen))
+        ordered = sorted(chosen, reverse=True)
+        return not any(
+            sorted(column, reverse=True) > ordered for column in zip(*columns)
+        )
+
+    def images(self, c: int) -> Iterator[int]:
+        """The image column of free monomial c: its image index under
+        each permutation past the lanes, in the order of ``permutations``."""
+        start = max(self.lanes, 1)
+        return map(self.index.__getitem__, islice(permutations(self.free[c]), start, None))
 
     def status(self, chosen: tuple[int, ...]) -> int:
         """Rank in ``_RANKED`` (0 for unstable) of the family of the pure
@@ -409,7 +403,7 @@ class _Space:
             yield ()
             return
         free_count = len(self.free)
-        diffs, guards, bias, sums = self.first_block()
+        diffs, guards, bias, sums = self.first
         one_block, passes_rest = self.one_block, self.passes_rest
         first = (partition, *_unrank(skip, k - 1, partition + 1, free_count))
         prefix, low = list(first[:-1]), first[-1]
@@ -496,7 +490,7 @@ class _Space:
         span = len(self.free) - partition
         if 6 * comb(span, k - 1) > min(self.perm_count, 24) * comb(span, k):
             return None
-        level = [((), self.first_block()[2])]
+        level = [((), self.first[2])]
         high = len(self.free)
         for size in range(1, k):
             grown: list = []
@@ -506,8 +500,6 @@ class _Space:
                 grown += self.children(level, c)
                 if len(grown) > _HELD:
                     return None
-            if not grown:
-                return grown
             level = grown
             high = level[-1][0][0]
         return level
@@ -518,9 +510,12 @@ class _Space:
         representative, in order: the sets above c are a suffix of the
         level, and (c, *S) sorts as S does.  Where block 0 holds every
         permutation, a set it lets through is a representative."""
-        diffs, guards, _, _ = self.first_block()
+        diffs, guards, _, _ = self.first
         step = diffs[c]
-        above = islice(level, bisect_right(level, c, key=_smallest), None)
+        # (S, D) sorts below ((c + 1,),) exactly when min(S) <= c; the level
+        # of the empty set alone lies whole above c.
+        start = bisect_left(level, ((c + 1,),)) if level[0][0] else 0
+        above = islice(level, start, None)
         if self.one_block:
             return [
                 ((c, *S), carried)
@@ -586,11 +581,6 @@ class _Space:
             return families, orbits, (0, None)
         exps = tuple(sorted(self.pure_exps + [self.free[c] for c in best]))
         return families, orbits, (best_rank, exps)
-
-
-def _smallest(node: tuple[tuple[int, ...], int]) -> float:
-    """A tree node's smallest index, infinite for the empty set."""
-    return node[0][0] if node[0] else inf
 
 
 def _unrank(rank: int, size: int, low: int, end: int) -> list[int]:

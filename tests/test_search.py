@@ -319,7 +319,7 @@ def lane_filter(chosen, space):
     there is nothing to permute; otherwise one sum over C tests block 0's
     lanes, and ``passes_rest`` the later blocks and the permutations past
     the lanes."""
-    diffs, guards, bias, _ = space.first_block()
+    diffs, guards, bias, _ = space.first
     return not chosen or (
         not sum(map(diffs.__getitem__, chosen), bias) & guards
         and space.passes_rest(chosen)
@@ -339,7 +339,7 @@ def test_bitmask_filter_matches_sorted_sequence_definition(data):
     # caps keeping 1, 2, 3 or 40 permutations make 2, 3, 4 or 41 lanes (at
     # most (N+1)!), and 3 and 41 end partway through a block of 2, 32 or
     # 120.  A cap of one bit keeps none.  Permutations past the cap are
-    # recomputed.
+    # streamed.
     size = data.draw(st.sampled_from([1, 2, 32, search._BLOCK]), label="block size")
     square = max(len(free), 1) ** 2
     bits = data.draw(st.sampled_from(
@@ -414,7 +414,8 @@ def test_lanes_are_packed_as_defined(N, d, size, scale):
         sums = [sum(diffs[:c]) for c in range(len(diffs) + 1)]
         assert space.first == (*expected[0], sums)
     else:
-        assert space.lanes == 0 and space.first is None
+        zeros = bytes(len(free) + 1)
+        assert space.lanes == 0 and space.first == (zeros, 0, 0, zeros)
 
 
 def reference_scan(space, job, is_minimal, floor):
@@ -551,7 +552,8 @@ def test_walk_matches_the_reference_loop(data):
     d = data.draw(st.integers(1, 4), label="d")
     free_count = len(search._free_monomials(N, d))
     square = max(free_count, 1) ** 2
-    # A cap of one bit keeps no lane, so every family takes the recompute.
+    # A cap of one bit keeps no lane, so every family takes the streamed
+    # image columns.
     # Blocks of 1, 2, 32 or 120 lanes; 2 and 4 lanes end partway through
     # the larger ones.
     bits = data.draw(st.sampled_from([search._ROW_BITS, 1, square, 3 * square]))
@@ -816,10 +818,10 @@ def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
     kept = run()
     # With 600 bits the N = 3 spaces (16 free monomials) keep 3 lanes and
     # take the other 21 permutations from the image table (336 entries),
-    # and the N = 4 spaces (10 free monomials) keep 7 lanes and recompute
-    # the other 113 (1,130 entries would pass the cap) for each family that
-    # reaches them.  With 300 bits the N = 3 spaces keep 2 lanes and
-    # recompute the other 22 (352 entries), and the N = 4 spaces keep 4.
+    # and the N = 4 spaces (10 free monomials) keep 7 lanes and stream the
+    # images of the other 113 (1,130 entries would pass the cap) for each
+    # family that reaches them.  With 300 bits the N = 3 spaces keep 2 lanes
+    # and stream the other 22 (352 entries), and the N = 4 spaces keep 4.
     for bits in (600, 300):
         monkeypatch.setattr(search, "_ROW_BITS", bits)
         assert run() == kept
@@ -827,7 +829,7 @@ def test_rows_past_the_cell_cap_give_identical_searches(monkeypatch, triple):
 
 # Each space at caps that take every route of the filter past block 0:
 # (cap, lanes kept, permutations in the image table).  A cap of 0 keeps no
-# lane and no table, so every permutation but the identity is recomputed.
+# lane and no table, so every permutation but the identity is streamed.
 # (2, 6, n) has F = 25: 300 bits keep no lane and a table of the other 5
 # permutations, 700 bits 2 lanes and a table of 4.  (3, 3, n) has F = 16,
 # (4, 2, n) F = 10, and no cap gives them a table without lanes.
